@@ -1,13 +1,11 @@
 // Messaging-runtime microbenchmark — latency/throughput of foam::par
-// point-to-point messaging, A/B over the two transports:
+// point-to-point messaging on the lock-free SPSC transport:
 //
 //  * pingpong_latency — round-trip time of a blocking send/recv pair over
 //    message size, 2 ranks, min of several trials (each trial averages
-//    thousands of round trips). The small-message rows are the headline:
-//    the lock-free SPSC transport must beat the historic mutex/condition-
-//    variable mailboxes by >= 3x at 8 bytes (gated), because a blocked
-//    receive now spins through the arrival window instead of paying a cv
-//    sleep/wakeup.
+//    thousands of round trips).
+//  * pingpong_pipelined_latency — the same with a window of messages in
+//    flight per direction, isolating per-message transport cost.
 //  * ring_throughput — aggregate message rate of a ring flood (every rank
 //    streams to its successor) over rank count and message size.
 //  * rendezvous_bandwidth — isend_move -> recv_vec ownership-handoff
@@ -25,7 +23,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -44,9 +41,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 /// Min-of-trials round-trip latency [s] of a blocking ping-pong, 2 ranks.
-double pingpong_seconds(par::CommTransport t, std::size_t bytes, int reps,
-                        int trials) {
-  par::set_comm_transport(t);
+double pingpong_seconds(std::size_t bytes, int reps, int trials) {
   double best = 1e300;
   par::run(2, [&](par::Comm& comm) {
     std::vector<char> buf(std::max<std::size_t>(bytes, 1), 0);
@@ -72,12 +67,11 @@ double pingpong_seconds(par::CommTransport t, std::size_t bytes, int reps,
 
 /// Per-message round-trip [s] of a *pipelined* ping-pong: \p window
 /// messages in flight per direction. Amortizing scheduler handoffs across
-/// the window exposes the per-message transport cost (queue ops, locking,
-/// wakeups) rather than context-switch latency — the honest comparison on
-/// hosts without a spare core per rank.
-double pingpong_windowed_seconds(par::CommTransport t, std::size_t bytes,
-                                 int window, int iters, int trials) {
-  par::set_comm_transport(t);
+/// the window exposes the per-message transport cost (queue ops, wakeups)
+/// rather than context-switch latency — the honest number on hosts without
+/// a spare core per rank.
+double pingpong_windowed_seconds(std::size_t bytes, int window, int iters,
+                                 int trials) {
   double best = 1e300;
   par::run(2, [&](par::Comm& comm) {
     std::vector<char> buf(std::max<std::size_t>(bytes, 1), 0);
@@ -107,9 +101,7 @@ double pingpong_windowed_seconds(par::CommTransport t, std::size_t bytes,
 
 /// Aggregate message rate [msg/s] of a ring flood: every rank streams
 /// \p msgs messages to its successor while draining its predecessor.
-double ring_rate(par::CommTransport t, int nranks, std::size_t bytes,
-                 int msgs) {
-  par::set_comm_transport(t);
+double ring_rate(int nranks, std::size_t bytes, int msgs) {
   double rate = 0.0;
   par::run(nranks, [&](par::Comm& comm) {
     const int n = comm.size();
@@ -142,7 +134,6 @@ struct PathCounters {
 /// zero-copy counters for the gates.
 double rendezvous_run(std::size_t count, int transfers,
                       PathCounters per_rank[2]) {
-  par::set_comm_transport(par::CommTransport::kSpsc);
   double bandwidth = 0.0;
   par::run(2, [&](par::Comm& comm) {
     telemetry::Telemetry tel;
@@ -175,7 +166,6 @@ double rendezvous_run(std::size_t count, int transfers,
 
 /// A small-message stream with a telemetry session: counts fast-path use.
 PathCounters fastpath_run(int msgs) {
-  par::set_comm_transport(par::CommTransport::kSpsc);
   PathCounters sender;
   par::run(2, [&](par::Comm& comm) {
     telemetry::Telemetry tel;
@@ -200,74 +190,34 @@ int main() {
   bench::BenchJson json("comm_microbench");
   json.set_common("quick", quick);
 
-  // --- ping-pong latency sweep, both transports -------------------------
+  // --- ping-pong latency sweep -----------------------------------------
   const std::size_t sizes[] = {0, 8, 256, 4096, 65536};
   const int trials = quick ? 2 : 3;
-  double lat_small[2] = {0.0, 0.0};  // [transport] at 8 bytes
-  std::printf("%-10s %10s %16s %16s\n", "bytes", "", "spsc [us]",
-              "mutex [us]");
+  std::printf("%-10s %16s\n", "bytes", "latency [us]");
   for (const std::size_t bytes : sizes) {
     const int reps =
         (quick ? 2000 : 20000) / (bytes >= 65536 ? 10 : 1);
-    double lat[2];
-    for (const par::CommTransport t :
-         {par::CommTransport::kSpsc, par::CommTransport::kMutex}) {
-      const double s = pingpong_seconds(t, bytes, reps, trials);
-      lat[static_cast<int>(t)] = s;
-      json.add("pingpong_latency", s, "s/roundtrip",
-               {{"transport", par::comm_transport_name(t)},
-                {"bytes", static_cast<std::int64_t>(bytes)},
-                {"ranks", 2}});
-      if (bytes == 8) lat_small[static_cast<int>(t)] = s;
-    }
-    std::printf("%-10zu %10s %16.3f %16.3f\n", bytes, "", lat[0] * 1e6,
-                lat[1] * 1e6);
+    const double s = pingpong_seconds(bytes, reps, trials);
+    json.add("pingpong_latency", s, "s/roundtrip",
+             {{"transport", "spsc"},
+              {"bytes", static_cast<std::int64_t>(bytes)},
+              {"ranks", 2}});
+    std::printf("%-10zu %16.3f\n", bytes, s * 1e6);
   }
-  const double speedup = lat_small[1] / lat_small[0];
-  json.add("small_msg_latency_speedup", speedup, "x",
-           {{"bytes", 8}, {"baseline", "mutex"}});
-  std::printf("small-message (8 B) blocking latency speedup: %.2fx\n",
-              speedup);
 
   // Pipelined variant: window of messages in flight per direction, so the
   // per-message number reflects transport cost, not context switches.
   const int window = 64;
   const int witers = (quick ? 2000 : 20000) / window;
-  double wlat_small[2] = {0.0, 0.0};
   for (const std::size_t bytes : {std::size_t{8}, std::size_t{256}}) {
-    for (const par::CommTransport t :
-         {par::CommTransport::kSpsc, par::CommTransport::kMutex}) {
-      const double s =
-          pingpong_windowed_seconds(t, bytes, window, witers, trials);
-      json.add("pingpong_pipelined_latency", s, "s/msg",
-               {{"transport", par::comm_transport_name(t)},
-                {"bytes", static_cast<std::int64_t>(bytes)},
-                {"window", window},
-                {"ranks", 2}});
-      if (bytes == 8) wlat_small[static_cast<int>(t)] = s;
-    }
+    const double s = pingpong_windowed_seconds(bytes, window, witers, trials);
+    json.add("pingpong_pipelined_latency", s, "s/msg",
+             {{"transport", "spsc"},
+              {"bytes", static_cast<std::int64_t>(bytes)},
+              {"window", window},
+              {"ranks", 2}});
+    std::printf("pipelined %3zu B: %.3f us/msg\n", bytes, s * 1e6);
   }
-  const double speedup_pipelined = wlat_small[1] / wlat_small[0];
-  json.add("small_msg_pipelined_speedup", speedup_pipelined, "x",
-           {{"bytes", 8}, {"window", window}, {"baseline", "mutex"}});
-  std::printf(
-      "small-message (8 B) pipelined speedup: %.2fx (spsc %.3f us/msg vs "
-      "mutex %.3f us/msg)\n",
-      speedup_pipelined, wlat_small[0] * 1e6, wlat_small[1] * 1e6);
-
-  // On a single-CPU host every transport's blocking round trip bottoms out
-  // at two scheduler handoffs (the spsc row above *is* that floor), so a 3x
-  // latency demonstration is physically impossible there. The >= 3x gate
-  // therefore applies on hosts with real parallelism; a single-CPU host
-  // instead gates the pipelined per-message speedup, which isolates
-  // transport cost from context switching, at a margin-safe >= 1.25x.
-  const bool parallel_host = std::thread::hardware_concurrency() >= 2;
-  const double gated_speedup = parallel_host ? speedup : speedup_pipelined;
-  const double gate_floor = parallel_host ? 3.0 : 1.25;
-  std::printf("latency gate (%s host): %s speedup %.2fx, floor %.2fx\n",
-              parallel_host ? "multi-CPU" : "single-CPU",
-              parallel_host ? "blocking" : "pipelined", gated_speedup,
-              gate_floor);
 
   // --- ring throughput over rank count ----------------------------------
   const int rank_counts_full[] = {2, 4, 8, 16};
@@ -278,16 +228,12 @@ int main() {
   for (int i = 0; i < n_rank_counts; ++i) {
     const int nr = rank_counts[i];
     for (const std::size_t bytes : {std::size_t{64}, std::size_t{4096}}) {
-      for (const par::CommTransport t :
-           {par::CommTransport::kSpsc, par::CommTransport::kMutex}) {
-        const double rate = ring_rate(t, nr, bytes, msgs);
-        json.add("ring_throughput", rate, "msg/s",
-                 {{"transport", par::comm_transport_name(t)},
-                  {"bytes", static_cast<std::int64_t>(bytes)},
-                  {"ranks", nr}});
-        std::printf("ring %2d ranks, %5zu B, %-5s: %10.0f msg/s\n", nr,
-                    bytes, par::comm_transport_name(t), rate);
-      }
+      const double rate = ring_rate(nr, bytes, msgs);
+      json.add("ring_throughput", rate, "msg/s",
+               {{"transport", "spsc"},
+                {"bytes", static_cast<std::int64_t>(bytes)},
+                {"ranks", nr}});
+      std::printf("ring %2d ranks, %5zu B: %10.0f msg/s\n", nr, bytes, rate);
     }
   }
 
@@ -315,12 +261,6 @@ int main() {
            {{"transport", "spsc"}, {"bytes", 8}});
 
   // --- gates ------------------------------------------------------------
-  FOAM_REQUIRE(gated_speedup >= gate_floor,
-               "small-message latency gate: spsc must be >= "
-                   << gate_floor << "x faster than the mutex baseline, "
-                   << "measured " << gated_speedup << "x ("
-                   << (parallel_host ? "blocking" : "pipelined")
-                   << " 8 B round trip)");
   FOAM_REQUIRE(rv[0].handoffs == static_cast<std::uint64_t>(transfers),
                "rendezvous gate: sender recorded " << rv[0].handoffs
                                                    << " handoffs, expected "

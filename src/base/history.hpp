@@ -32,15 +32,6 @@ namespace foam {
 class HistoryWriter {
  public:
   explicit HistoryWriter(const std::string& path);
-  /// Memory-sink mode: serialize the identical byte stream into an
-  /// in-memory buffer instead of a file. Finish with take_bytes() and hand
-  /// the buffer to write_history_file_bytes() — possibly on another thread
-  /// — to get the same durable file a file-mode writer produces. This is
-  /// how the parallel driver overlaps checkpoint shard I/O with compute:
-  /// the snapshot is taken synchronously (bitwise-stable), the disk work
-  /// is not.
-  struct MemorySink {};
-  explicit HistoryWriter(MemorySink);
   ~HistoryWriter();
   HistoryWriter(const HistoryWriter&) = delete;
   HistoryWriter& operator=(const HistoryWriter&) = delete;
@@ -58,10 +49,6 @@ class HistoryWriter {
   /// continues on failure — never call close() from an unwinding path.
   void close();
 
-  /// Memory-sink mode only: finalize the footer and move the complete
-  /// serialized file (magic..footer) out. The writer is closed afterwards.
-  std::vector<unsigned char> take_bytes();
-
   /// Payload bytes written so far (records only, excluding file framing).
   std::uint64_t bytes_written() const { return bytes_written_; }
 
@@ -72,23 +59,13 @@ class HistoryWriter {
   /// Shared body of close(); returns false instead of throwing.
   bool close_impl(std::string* error);
 
-  void* file_ = nullptr;  // FILE*; nullptr in memory-sink mode
-  bool memory_mode_ = false;
+  void* file_ = nullptr;  // FILE*
   bool open_ = false;
-  std::vector<unsigned char> buffer_;  // memory-sink backing store
   std::string path_;      // final path; the stream writes to path_ + ".tmp"
   std::uint64_t n_records_ = 0;
   std::uint64_t hash_ = 14695981039346656037ULL;  // FNV-1a over record bytes
   std::uint64_t bytes_written_ = 0;
 };
-
-/// Durably install \p bytes (a complete serialized history file, from
-/// HistoryWriter::take_bytes) at \p path with the crash-safe protocol:
-/// write `<path>.tmp`, fflush + fsync, then atomically rename onto
-/// \p path. Throws foam::Error on any failure. Safe to call from a
-/// background thread.
-void write_history_file_bytes(const std::string& path,
-                              const std::vector<unsigned char>& bytes);
 
 /// One record read back from a history file.
 struct HistoryRecord {

@@ -43,52 +43,6 @@ TEST(History, RoundTripsFieldsScalarsAndSeries) {
   EXPECT_DOUBLE_EQ(series.data[2], 2.25);
 }
 
-TEST(History, MemorySinkProducesTheExactFileBytes) {
-  // The deferred-I/O contract of the graph-mode checkpoint writer: the
-  // same record sequence serialized to memory and later flushed with
-  // write_history_file_bytes must be indistinguishable from a direct
-  // file-mode write — byte for byte, and readable.
-  const std::string direct = temp_path("mem_direct.foam");
-  const std::string deferred = temp_path("mem_deferred.foam");
-  Field2Dd sst(5, 3);
-  for (int j = 0; j < 3; ++j)
-    for (int i = 0; i < 5; ++i) sst(i, j) = 0.25 * i - j;
-  {
-    HistoryWriter w(direct);
-    w.write("sst", sst);
-    w.write_scalar("day", 7.0);
-    w.write_series("nino", {0.5, -1.5});
-  }
-  HistoryWriter mem{HistoryWriter::MemorySink{}};
-  mem.write("sst", sst);
-  mem.write_scalar("day", 7.0);
-  mem.write_series("nino", {0.5, -1.5});
-  const std::vector<unsigned char> bytes = mem.take_bytes();
-  write_history_file_bytes(deferred, bytes);
-
-  // File contents identical to the direct write.
-  FILE* f = std::fopen(direct.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::vector<unsigned char> want;
-  unsigned char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-    want.insert(want.end(), buf, buf + n);
-  std::fclose(f);
-  EXPECT_EQ(bytes, want);
-
-  HistoryReader r(deferred);
-  ASSERT_EQ(r.records().size(), 3u);
-  EXPECT_DOUBLE_EQ(r.find("day").data[0], 7.0);
-
-  // A memory-mode writer cannot be close()d like a file, and take_bytes
-  // finalizes: further writes must be rejected.
-  HistoryWriter mem2{HistoryWriter::MemorySink{}};
-  EXPECT_THROW(mem2.close(), Error);
-  (void)mem2.take_bytes();
-  EXPECT_THROW(mem2.write_scalar("late", 1.0), Error);
-}
-
 TEST(History, HasAndMissing) {
   const std::string path = temp_path("hist2.foam");
   {

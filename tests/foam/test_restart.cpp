@@ -43,11 +43,11 @@ std::vector<char> read_file_bytes(const std::string& path) {
 
 /// Driver options with everything explicit: no env-driven fault plans and
 /// no timeline capture (the tests compare state, not telemetry).
-ParallelRunOptions mk_opts(int n_atm, bool overlap,
+ParallelRunOptions mk_opts(const RankLayout& layout, bool overlap,
                            const std::string& prefix, double every_days,
                            bool resume) {
   ParallelRunOptions o;
-  o.n_atm = n_atm;
+  o.layout = layout;
   o.overlap = overlap;
   o.capture_timelines = false;
   o.verify = {};
@@ -91,21 +91,22 @@ void resume_bitwise_case(bool overlap) {
   const std::string tag = overlap ? "ov" : "bl";
   const std::string pa = testing::TempDir() + "/rsA_" + tag;
   const std::string pb = testing::TempDir() + "/rsB_" + tag;
-  const int nranks = 3, n_atm = 2;
+  const RankLayout layout = RankLayout::rows(2, 1);
+  const int nranks = layout.world_size();
 
   // Reference: 2 uninterrupted days, checkpoint every day.
   par::run(nranks, [&](par::Comm& world) {
-    run_coupled_parallel(world, mk_opts(n_atm, overlap, pa, 1.0, false),
+    run_coupled_parallel(world, mk_opts(layout, overlap, pa, 1.0, false),
                          cfg, 2.0);
   });
   // Interrupted twin: 1 day, then resume-from-latest for the full span.
   par::run(nranks, [&](par::Comm& world) {
-    run_coupled_parallel(world, mk_opts(n_atm, overlap, pb, 1.0, false),
+    run_coupled_parallel(world, mk_opts(layout, overlap, pb, 1.0, false),
                          cfg, 1.0);
   });
   ASSERT_EQ(ckpt_latest_day(pb), 1);
   par::run(nranks, [&](par::Comm& world) {
-    run_coupled_parallel(world, mk_opts(n_atm, overlap, pb, 1.0, true),
+    run_coupled_parallel(world, mk_opts(layout, overlap, pb, 1.0, true),
                          cfg, 2.0);
   });
   ASSERT_EQ(ckpt_latest_day(pb), 2);
@@ -128,9 +129,7 @@ TEST(Restart, ResumeBitwiseTwoDOceanLayout) {
   const std::string pa = testing::TempDir() + "/rs2dA";
   const std::string pb = testing::TempDir() + "/rs2dB";
   const auto opts_for = [&](const std::string& prefix, bool resume) {
-    ParallelRunOptions o = mk_opts(2, true, prefix, 1.0, resume);
-    o.layout = layout;
-    return o;
+    return mk_opts(layout, true, prefix, 1.0, resume);
   };
   par::run(layout.world_size(), [&](par::Comm& world) {
     run_coupled_parallel(world, opts_for(pa, false), cfg, 2.0);
@@ -149,108 +148,16 @@ TEST(Restart, ResumeBitwiseTwoDOceanLayout) {
         << "day-2 state of rank " << r << " diverged after a 2-D resume";
 }
 
-TEST(Restart, GraphSchedulerShardsMatchBarrierAndResumeBitwise) {
-  // The pipelined checkpoint path (graph mode serializes the shard at the
-  // day boundary and writes it overlapped with the next day's compute)
-  // must be invisible on disk: every shard of a graph-mode run is byte
-  // identical to the barrier run's, and a graph-mode resume lands bitwise.
-  const FoamConfig cfg = FoamConfig::testing();
-  const std::string pa = testing::TempDir() + "/grA";  // barrier reference
-  const std::string pb = testing::TempDir() + "/grB";  // graph, straight
-  const std::string pc = testing::TempDir() + "/grC";  // graph, resumed
-  const int nranks = 3, n_atm = 2;
-  const auto opts_for = [&](const std::string& prefix, SchedulerKind sk,
-                            bool resume) {
-    ParallelRunOptions o = mk_opts(n_atm, true, prefix, 1.0, resume);
-    o.scheduler = sk;
-    return o;
-  };
-
-  par::run(nranks, [&](par::Comm& world) {
-    run_coupled_parallel(
-        world, opts_for(pa, SchedulerKind::kBarrier, false), cfg, 2.0);
-  });
-  par::run(nranks, [&](par::Comm& world) {
-    run_coupled_parallel(world, opts_for(pb, SchedulerKind::kGraph, false),
-                         cfg, 2.0);
-  });
-  // Both cadence days, every rank: the overlapped writes produced the
-  // exact bytes the synchronous writer would have.
-  for (const std::int64_t day : {1, 2})
-    for (int r = 0; r < nranks; ++r)
-      EXPECT_EQ(read_file_bytes(ckpt_shard_path(pa, day, r)),
-                read_file_bytes(ckpt_shard_path(pb, day, r)))
-          << "graph-mode day-" << day << " shard diverged on rank " << r;
-
-  // Interrupt-and-resume entirely under the graph scheduler.
-  par::run(nranks, [&](par::Comm& world) {
-    run_coupled_parallel(world, opts_for(pc, SchedulerKind::kGraph, false),
-                         cfg, 1.0);
-  });
-  ASSERT_EQ(ckpt_latest_day(pc), 1);
-  par::run(nranks, [&](par::Comm& world) {
-    run_coupled_parallel(world, opts_for(pc, SchedulerKind::kGraph, true),
-                         cfg, 2.0);
-  });
-  ASSERT_EQ(ckpt_latest_day(pc), 2);
-  for (int r = 0; r < nranks; ++r)
-    EXPECT_EQ(read_file_bytes(ckpt_shard_path(pa, 2, r)),
-              read_file_bytes(ckpt_shard_path(pc, 2, r)))
-        << "graph-mode resume diverged on rank " << r;
-}
-
-TEST(Restart, KillMidGraphLeavesPublishedCheckpointAndResumesBitwise) {
-  // Fault injection under the graph scheduler: a kill at day 2 must see
-  // exactly the checkpoints a barrier run would have published (the
-  // pipelined day-1 write is drained and published before the day-2 fault
-  // fires), and resume-from-latest must land bitwise on a fault-free run.
-  const FoamConfig cfg = FoamConfig::testing();
-  const std::string pa = testing::TempDir() + "/kgA";
-  const std::string pb = testing::TempDir() + "/kgB";
-  const int nranks = 3, n_atm = 2;
-  const auto opts_for = [&](const std::string& prefix, bool resume) {
-    ParallelRunOptions o = mk_opts(n_atm, true, prefix, 1.0, resume);
-    o.scheduler = SchedulerKind::kGraph;
-    return o;
-  };
-
-  par::run(nranks, [&](par::Comm& world) {
-    run_coupled_parallel(world, opts_for(pa, false), cfg, 2.0);
-  });
-  try {
-    par::run(nranks, [&](par::Comm& world) {
-      ParallelRunOptions o = opts_for(pb, false);
-      o.fault = par::FaultPlan::parse("kill:rank=2,day=2");
-      run_coupled_parallel(world, o, cfg, 2.0);
-    });
-    FAIL() << "injected kill did not abort the graph-mode run";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("rank 2"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("fault injection"), std::string::npos) << msg;
-  }
-  ASSERT_EQ(ckpt_latest_day(pb), 1)
-      << "kill at day 2 must leave the drained day-1 checkpoint";
-
-  par::run(nranks, [&](par::Comm& world) {
-    run_coupled_parallel(world, opts_for(pb, true), cfg, 2.0);
-  });
-  ASSERT_EQ(ckpt_latest_day(pb), 2);
-  for (int r = 0; r < nranks; ++r)
-    EXPECT_EQ(read_file_bytes(ckpt_shard_path(pa, 2, r)),
-              read_file_bytes(ckpt_shard_path(pb, 2, r)))
-        << "graph-mode kill-resume diverged on rank " << r;
-}
-
 TEST(Restart, KillAbortsWithDiagnosticAndResumeMatchesFaultFreeRun) {
   const FoamConfig cfg = FoamConfig::testing();
   const std::string pa = testing::TempDir() + "/klA";
   const std::string pb = testing::TempDir() + "/klB";
-  const int nranks = 3, n_atm = 2;
+  const RankLayout layout = RankLayout::rows(2, 1);
+  const int nranks = layout.world_size();
 
   // Fault-free reference.
   par::run(nranks, [&](par::Comm& world) {
-    run_coupled_parallel(world, mk_opts(n_atm, true, pa, 1.0, false), cfg,
+    run_coupled_parallel(world, mk_opts(layout, true, pa, 1.0, false), cfg,
                          2.0);
   });
 
@@ -258,7 +165,7 @@ TEST(Restart, KillAbortsWithDiagnosticAndResumeMatchesFaultFreeRun) {
   // diagnostic naming the rank, leaving day 1 as the latest checkpoint.
   try {
     par::run(nranks, [&](par::Comm& world) {
-      ParallelRunOptions o = mk_opts(n_atm, true, pb, 1.0, false);
+      ParallelRunOptions o = mk_opts(layout, true, pb, 1.0, false);
       o.fault = par::FaultPlan::parse("kill:rank=2,day=2");
       run_coupled_parallel(world, o, cfg, 2.0);
     });
@@ -275,7 +182,7 @@ TEST(Restart, KillAbortsWithDiagnosticAndResumeMatchesFaultFreeRun) {
   // fault-free reference.
   std::int64_t findings = -1;
   par::run(nranks, [&](par::Comm& world) {
-    ParallelRunOptions o = mk_opts(n_atm, true, pb, 1.0, true);
+    ParallelRunOptions o = mk_opts(layout, true, pb, 1.0, true);
     o.verify.mode = par::VerifyMode::kAudit;
     const auto res = run_coupled_parallel(world, o, cfg, 2.0);
     if (world.rank() == 0) findings = res.verify_findings;
@@ -292,7 +199,8 @@ TEST(Restart, StallTripsDeadlockDetector) {
   const int nranks = 3;
   try {
     par::run(nranks, [&](par::Comm& world) {
-      ParallelRunOptions o = mk_opts(2, false, "", 1.0, false);
+      ParallelRunOptions o =
+          mk_opts(RankLayout::rows(2, 1), false, "", 1.0, false);
       o.verify.mode = par::VerifyMode::kAudit;
       o.verify.stall_timeout_seconds = 0.4;
       o.fault = par::FaultPlan::parse("stall:rank=1,day=1,seconds=30");
@@ -312,13 +220,15 @@ TEST(Restart, ResumeRejectsMismatchedRunShape) {
   const std::string pf = testing::TempDir() + "/shape";
   const int nranks = 3;
   par::run(nranks, [&](par::Comm& world) {
-    run_coupled_parallel(world, mk_opts(2, false, pf, 1.0, false), cfg,
-                         1.0);
+    run_coupled_parallel(
+        world, mk_opts(RankLayout::rows(2, 1), false, pf, 1.0, false), cfg,
+        1.0);
   });
   try {
     par::run(nranks, [&](par::Comm& world) {
-      run_coupled_parallel(world, mk_opts(1, false, pf, 1.0, true), cfg,
-                           2.0);
+      run_coupled_parallel(
+          world, mk_opts(RankLayout::rows(1, 2), false, pf, 1.0, true), cfg,
+          2.0);
     });
     FAIL() << "resume accepted a checkpoint from a different placement";
   } catch (const Error& e) {
@@ -328,8 +238,9 @@ TEST(Restart, ResumeRejectsMismatchedRunShape) {
   // Overlap-mode mismatch is rejected too (the lag bookkeeping differs).
   try {
     par::run(nranks, [&](par::Comm& world) {
-      run_coupled_parallel(world, mk_opts(2, true, pf, 1.0, true), cfg,
-                           2.0);
+      run_coupled_parallel(
+          world, mk_opts(RankLayout::rows(2, 1), true, pf, 1.0, true), cfg,
+          2.0);
     });
     FAIL() << "resume accepted a checkpoint from the other overlap mode";
   } catch (const Error& e) {
@@ -346,15 +257,14 @@ TEST(Restart, ResumeRejectsMismatchedOceanGridShape) {
   const std::string pf = testing::TempDir() + "/shape2d";
   const RankLayout written = RankLayout::rows(2, 3);
   par::run(written.world_size(), [&](par::Comm& world) {
-    ParallelRunOptions o = mk_opts(2, false, pf, 1.0, false);
-    o.layout = written;
-    run_coupled_parallel(world, o, cfg, 1.0);
+    run_coupled_parallel(world, mk_opts(written, false, pf, 1.0, false), cfg,
+                         1.0);
   });
   try {
     par::run(written.world_size(), [&](par::Comm& world) {
-      ParallelRunOptions o = mk_opts(2, false, pf, 1.0, true);
-      o.layout = RankLayout::grid(2, 3, 1);
-      run_coupled_parallel(world, o, cfg, 2.0);
+      run_coupled_parallel(
+          world, mk_opts(RankLayout::grid(2, 3, 1), false, pf, 1.0, true),
+          cfg, 2.0);
     });
     FAIL() << "resume accepted shards from a different ocean rank grid";
   } catch (const Error& e) {
@@ -372,19 +282,20 @@ TEST(RestartAcceptance, EightPlusOneKillAtDayThreeResumesBitwise) {
   if (std::getenv("FOAM_RESTART_ACCEPTANCE") == nullptr)
     GTEST_SKIP() << "set FOAM_RESTART_ACCEPTANCE=1 to run the 8+1 drill";
   const FoamConfig cfg = FoamConfig::testing();
-  const int nranks = 9, n_atm = 8;
+  const RankLayout layout = RankLayout::rows(8, 1);
+  const int nranks = layout.world_size();
   for (const bool overlap : {false, true}) {
     const std::string tag = overlap ? "ov" : "bl";
     const std::string pa = testing::TempDir() + "/accA_" + tag;
     const std::string pb = testing::TempDir() + "/accB_" + tag;
 
     par::run(nranks, [&](par::Comm& world) {
-      run_coupled_parallel(world, mk_opts(n_atm, overlap, pa, 2.0, false),
+      run_coupled_parallel(world, mk_opts(layout, overlap, pa, 2.0, false),
                            cfg, 4.0);
     });
     try {
       par::run(nranks, [&](par::Comm& world) {
-        ParallelRunOptions o = mk_opts(n_atm, overlap, pb, 2.0, false);
+        ParallelRunOptions o = mk_opts(layout, overlap, pb, 2.0, false);
         o.fault = par::FaultPlan::parse("kill:rank=3,day=3");
         run_coupled_parallel(world, o, cfg, 4.0);
       });
@@ -397,7 +308,7 @@ TEST(RestartAcceptance, EightPlusOneKillAtDayThreeResumesBitwise) {
 
     std::int64_t findings = -1;
     par::run(nranks, [&](par::Comm& world) {
-      ParallelRunOptions o = mk_opts(n_atm, overlap, pb, 2.0, true);
+      ParallelRunOptions o = mk_opts(layout, overlap, pb, 2.0, true);
       o.verify.mode = par::VerifyMode::kAudit;
       const auto res = run_coupled_parallel(world, o, cfg, 4.0);
       if (world.rank() == 0) findings = res.verify_findings;
@@ -423,9 +334,7 @@ TEST(RestartAcceptance, EightPlusEightOceanRankKillResumesBitwise) {
   const std::string pa = testing::TempDir() + "/acc88A";
   const std::string pb = testing::TempDir() + "/acc88B";
   const auto opts_for = [&](const std::string& prefix, bool resume) {
-    ParallelRunOptions o = mk_opts(8, true, prefix, 1.0, resume);
-    o.layout = layout;
-    return o;
+    return mk_opts(layout, true, prefix, 1.0, resume);
   };
 
   par::run(layout.world_size(), [&](par::Comm& world) {
@@ -456,55 +365,6 @@ TEST(RestartAcceptance, EightPlusEightOceanRankKillResumesBitwise) {
     EXPECT_EQ(read_file_bytes(ckpt_shard_path(pa, 2, r)),
               read_file_bytes(ckpt_shard_path(pb, 2, r)))
         << "8+8 drill diverged on rank " << r;
-}
-
-/// Kill-mid-graph drill at the paper-shaped 8+2x4 placement: the same
-/// ocean-rank kill as the drill above, but with both the reference and
-/// the faulted/resumed runs on the task-graph scheduler — proving the
-/// pipelined checkpoint publication holds its crash-consistency contract
-/// at scale. Gated like the other acceptance drills.
-TEST(RestartAcceptance, EightPlusEightKillMidGraphResumesBitwise) {
-  if (std::getenv("FOAM_RESTART_ACCEPTANCE") == nullptr)
-    GTEST_SKIP() << "set FOAM_RESTART_ACCEPTANCE=1 to run the graph drill";
-  const FoamConfig cfg = FoamConfig::testing();
-  const RankLayout layout = RankLayout::grid(8, 2, 4);
-  const std::string pa = testing::TempDir() + "/acc88gA";
-  const std::string pb = testing::TempDir() + "/acc88gB";
-  const auto opts_for = [&](const std::string& prefix, bool resume) {
-    ParallelRunOptions o = mk_opts(8, true, prefix, 1.0, resume);
-    o.layout = layout;
-    o.scheduler = SchedulerKind::kGraph;
-    return o;
-  };
-
-  par::run(layout.world_size(), [&](par::Comm& world) {
-    run_coupled_parallel(world, opts_for(pa, false), cfg, 2.0);
-  });
-  try {
-    par::run(layout.world_size(), [&](par::Comm& world) {
-      ParallelRunOptions o = opts_for(pb, false);
-      o.fault = par::FaultPlan::parse("kill:rank=11,day=2");
-      run_coupled_parallel(world, o, cfg, 2.0);
-    });
-    FAIL() << "injected kill did not abort the graph-mode run";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("rank 11"), std::string::npos)
-        << e.what();
-  }
-  ASSERT_EQ(ckpt_latest_day(pb), 1) << "kill at day 2 must leave day 1";
-
-  std::int64_t findings = -1;
-  par::run(layout.world_size(), [&](par::Comm& world) {
-    ParallelRunOptions o = opts_for(pb, true);
-    o.verify.mode = par::VerifyMode::kAudit;
-    const auto res = run_coupled_parallel(world, o, cfg, 2.0);
-    if (world.rank() == 0) findings = res.verify_findings;
-  });
-  EXPECT_EQ(findings, 0);
-  for (int r = 0; r < layout.world_size(); ++r)
-    EXPECT_EQ(read_file_bytes(ckpt_shard_path(pa, 2, r)),
-              read_file_bytes(ckpt_shard_path(pb, 2, r)))
-        << "8+8 graph drill diverged on rank " << r;
 }
 
 }  // namespace

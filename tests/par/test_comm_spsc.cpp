@@ -1,7 +1,8 @@
 /// Stress and semantics tests for the lock-free SPSC messaging transport:
 /// ring-overflow spill FIFO, wildcard matching and posting-order under the
-/// new queues, out-of-order waitall, 16-rank churn, transport A/B
-/// equivalence, and the FaultPlan stall -> deadlock-detector regression.
+/// new queues, out-of-order waitall, 16-rank churn, bitwise collectives
+/// against a serial oracle, and the FaultPlan stall -> deadlock-detector
+/// regression.
 ///
 /// CI runs this suite twice: under ThreadSanitizer, and with
 /// FOAM_PAR_VERIFY=audit scoped to `--gtest_filter='SpscStress*'` so the
@@ -23,29 +24,12 @@
 namespace foam::par {
 namespace {
 
-/// Pin the transport for one test, restoring the previously resolved
-/// choice (explicit or environment) on exit so a suite-wide
-/// FOAM_PAR_TRANSPORT A/B run keeps meaning for the other tests.
-class ScopedTransport {
- public:
-  explicit ScopedTransport(CommTransport t) : prev_(comm_transport()) {
-    set_comm_transport(t);
-  }
-  ~ScopedTransport() { set_comm_transport(prev_); }
-  ScopedTransport(const ScopedTransport&) = delete;
-  ScopedTransport& operator=(const ScopedTransport&) = delete;
-
- private:
-  CommTransport prev_;
-};
-
 // ---------------------------------------------------------------------------
 // Ring overflow: bursts larger than the per-channel ring must spill to the
 // unbounded lane without blocking the sender or reordering the channel.
 // ---------------------------------------------------------------------------
 
 TEST(SpscStress, RingOverflowSpillsWithoutReordering) {
-  ScopedTransport t(CommTransport::kSpsc);
   // 5x the ring capacity, mixing inline (<= 256 B) and heap payloads so
   // both slot shapes ride through ring and spill lanes.
   const int n_msgs = static_cast<int>(detail::kChannelRingSlots) * 5;
@@ -83,7 +67,6 @@ TEST(SpscStress, RingOverflowSpillsWithoutReordering) {
 // ---------------------------------------------------------------------------
 
 TEST(SpscStress, WildcardRecvMatchesArrivalOrder) {
-  ScopedTransport t(CommTransport::kSpsc);
   run(3, [](Comm& comm) {
     if (comm.rank() == 0) {
       // Per-source FIFO with wildcard receives: messages from one source
@@ -111,7 +94,6 @@ TEST(SpscStress, WildcardRecvMatchesArrivalOrder) {
 }
 
 TEST(SpscStress, PostingOrderBreaksWildcardTies) {
-  ScopedTransport t(CommTransport::kSpsc);
   run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
       // Two wildcard irecvs posted before any message exists: the first
@@ -138,7 +120,6 @@ TEST(SpscStress, PostingOrderBreaksWildcardTies) {
 // ---------------------------------------------------------------------------
 
 TEST(SpscStress, OutOfOrderWaitall) {
-  ScopedTransport t(CommTransport::kSpsc);
   constexpr int kN = 8;
   run(2, [](Comm& comm) {
     if (comm.rank() == 0) {
@@ -163,7 +144,6 @@ TEST(SpscStress, OutOfOrderWaitall) {
 // ---------------------------------------------------------------------------
 
 TEST(SpscStress, SixteenRankChurn) {
-  ScopedTransport t(CommTransport::kSpsc);
   const int nranks = 16;
   const int rounds = 8;
   run(nranks, [&](Comm& comm) {
@@ -201,38 +181,46 @@ TEST(SpscStress, SixteenRankChurn) {
 }
 
 // ---------------------------------------------------------------------------
-// Transport A/B equivalence: the same program must produce bitwise
-// identical results on the lock-free and mutex transports.
+// Bitwise collectives: a 4-rank alltoall + gather program must reproduce,
+// bit for bit, the same operations done serially in the same order.
 // ---------------------------------------------------------------------------
 
-namespace {
-std::vector<double> exchange_program(CommTransport t) {
-  ScopedTransport scoped(t);
-  std::vector<double> out;
-  run(4, [&](Comm& comm) {
+TEST(SpscStress, TransportsBitwiseEquivalent) {
+  constexpr int kRanks = 4;
+  const auto mine_of = [](int rank, int i) {
+    return 0.25 * rank + 1.0 / (i + 1);
+  };
+  const auto accumulate = [](const std::vector<double>& in) {
+    double acc = 0.0;
+    for (double v : in) acc += v * 1.000000119;
+    return acc;
+  };
+
+  std::vector<double> got;
+  run(kRanks, [&](Comm& comm) {
     const int n = comm.size();
     std::vector<double> mine(n);
-    for (int i = 0; i < n; ++i)
-      mine[i] = 0.25 * comm.rank() + 1.0 / (i + 1);
+    for (int i = 0; i < n; ++i) mine[i] = mine_of(comm.rank(), i);
     std::vector<double> swapped(n);
     comm.alltoall(mine.data(), swapped.data(), 1);
-    double acc = 0.0;
-    for (double v : swapped) acc += v * 1.000000119;
+    const double acc = accumulate(swapped);
     std::vector<double> all(n, 0.0);
     comm.gather(&acc, 1, all.data(), 0);
-    if (comm.rank() == 0) out = all;
+    if (comm.rank() == 0) got = all;
   });
-  return out;
-}
-}  // namespace
 
-TEST(SpscStress, TransportsBitwiseEquivalent) {
-  const std::vector<double> spsc = exchange_program(CommTransport::kSpsc);
-  const std::vector<double> mutex = exchange_program(CommTransport::kMutex);
-  ASSERT_EQ(spsc.size(), mutex.size());
-  for (std::size_t i = 0; i < spsc.size(); ++i)
-    EXPECT_EQ(std::memcmp(&spsc[i], &mutex[i], sizeof(double)), 0)
-        << "rank " << i << " diverged across transports";
+  // Serial oracle: rank r receives block r of every rank's send buffer in
+  // source order, then rank 0 gathers the sums in rank order.
+  std::vector<double> want(kRanks);
+  for (int r = 0; r < kRanks; ++r) {
+    std::vector<double> swapped(kRanks);
+    for (int src = 0; src < kRanks; ++src) swapped[src] = mine_of(src, r);
+    want[r] = accumulate(swapped);
+  }
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
+        << "rank " << i << " diverged from the serial oracle";
 }
 
 // ---------------------------------------------------------------------------
@@ -242,7 +230,6 @@ TEST(SpscStress, TransportsBitwiseEquivalent) {
 // ---------------------------------------------------------------------------
 
 TEST(SpscStress, StalledRankStillNamedByDeadlockDetector) {
-  ScopedTransport t(CommTransport::kSpsc);
   const FaultPlan plan = FaultPlan::parse("stall:rank=1,day=1,seconds=30");
   ASSERT_EQ(plan.action, FaultPlan::Action::kStall);
   std::string msg;
@@ -341,7 +328,6 @@ TEST(SpscReclaim, RunTeardownWithUndeliveredMessages) {
   // the receiver ever posting a recv: run() joins, and the channels are
   // destroyed with messages queued in both lanes (the reclamation path
   // the model checker proves UAF-free in tests/mc).
-  ScopedTransport t(CommTransport::kSpsc);
   const int n_msgs = static_cast<int>(detail::kChannelRingSlots) * 2 + 9;
   run(2, [&](Comm& comm) {
     if (comm.rank() == 0) {
