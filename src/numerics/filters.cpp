@@ -11,9 +11,14 @@ using constants::deg2rad;
 PolarFourierFilter::PolarFourierFilter(const MercatorGrid& grid,
                                        double crit_lat_deg)
     : grid_(grid), crit_lat_deg_(crit_lat_deg),
-      cos_crit_(std::cos(crit_lat_deg * deg2rad)), fft_(grid.nlon()) {
+      cos_crit_(std::cos(crit_lat_deg * deg2rad)), plan_(grid.nlon()) {
   FOAM_REQUIRE(crit_lat_deg > 0.0 && crit_lat_deg < 90.0,
                "crit_lat_deg=" << crit_lat_deg);
+  const int nm = grid.nlon() / 2 + 1;
+  gain_.resize(static_cast<std::size_t>(grid.nlat()) * nm);
+  for (int j = 0; j < grid.nlat(); ++j)
+    for (int m = 0; m < nm; ++m)
+      gain_[static_cast<std::size_t>(j) * nm + m] = factor(m, j);
 }
 
 double PolarFourierFilter::factor(int m, int j) const {
@@ -24,62 +29,82 @@ double PolarFourierFilter::factor(int m, int j) const {
   return std::min(1.0, m_max / m);
 }
 
-void PolarFourierFilter::apply(Field2Dd& f) const {
-  const int nlon = grid_.nlon();
-  std::vector<double> row(nlon);
-  for (int j = 0; j < grid_.nlat(); ++j) {
-    if (grid_.cos_lat(j) >= cos_crit_) continue;
-    for (int i = 0; i < nlon; ++i) row[i] = f(i, j);
-    auto spec = fft_.forward_real(row);
-    for (int m = 1; m <= nlon / 2; ++m) spec[m] *= factor(m, j);
-    row = fft_.inverse_real(spec);
-    for (int i = 0; i < nlon; ++i) f(i, j) = row[i];
+PolarFourierFilter::Workspace PolarFourierFilter::make_workspace() const {
+  Workspace ws;
+  ws.spec.resize(static_cast<std::size_t>(plan_.size()));
+  ws.work.resize(plan_.workspace_size());
+  return ws;
+}
+
+void PolarFourierFilter::filter_row(double* row, const int* mask, int j,
+                                    Workspace& ws) const {
+  const int n = plan_.size();
+  FOAM_REQUIRE(static_cast<int>(ws.spec.size()) == n &&
+                   ws.work.size() >= plan_.workspace_size(),
+               "filter workspace not from make_workspace()");
+  std::complex<double>* x = ws.spec.data();
+  if (mask == nullptr) {
+    for (int i = 0; i < n; ++i) x[i] = {row[i], 0.0};
+  } else {
+    double mean = 0.0;
+    int wet = 0;
+    for (int i = 0; i < n; ++i)
+      if (mask[i] != 0) {
+        mean += row[i];
+        ++wet;
+      }
+    if (wet == 0) return;
+    mean /= wet;
+    for (int i = 0; i < n; ++i) x[i] = {mask[i] != 0 ? row[i] : mean, 0.0};
   }
+  plan_.forward(x, ws.work.data());
+  const double* gain = gain_.data() + static_cast<std::size_t>(j) * (n / 2 + 1);
+  for (int m = 1; m <= n / 2; ++m) x[m] *= gain[m];
+  // Real input: rebuild the upper half from the filtered lower half.
+  for (int k = n / 2 + 1; k < n; ++k) x[k] = std::conj(x[n - k]);
+  plan_.inverse(x, ws.work.data());
+  for (int i = 0; i < n; ++i)
+    if (mask == nullptr || mask[i] != 0) row[i] = x[i].real();
+}
+
+void PolarFourierFilter::apply(Field2Dd& f) const {
+  Workspace ws = make_workspace();
+  for (int j = 0; j < grid_.nlat(); ++j)
+    if (filters_row(j)) filter_row(&f(0, j), nullptr, j, ws);
 }
 
 void PolarFourierFilter::apply(Field2Dd& f, const Field2D<int>& mask) const {
   FOAM_REQUIRE(f.same_shape(Field2Dd(mask.nx(), mask.ny())),
                "mask shape mismatch");
-  const int nlon = grid_.nlon();
-  std::vector<double> row(nlon);
-  std::vector<double> saved(nlon);
-  for (int j = 0; j < grid_.nlat(); ++j) {
-    if (grid_.cos_lat(j) >= cos_crit_) continue;
-    bool any_ocean = false;
-    double ocean_mean = 0.0;
-    int n_ocean = 0;
-    for (int i = 0; i < nlon; ++i) {
-      saved[i] = f(i, j);
-      if (mask(i, j) != 0) {
-        any_ocean = true;
-        ocean_mean += saved[i];
-        ++n_ocean;
-      }
-    }
-    if (!any_ocean) continue;
-    ocean_mean /= n_ocean;
-    // Fill land with the row's ocean mean so the filter sees no artificial
-    // jumps at coastlines, then restore land values afterwards.
-    for (int i = 0; i < nlon; ++i)
-      row[i] = (mask(i, j) != 0) ? saved[i] : ocean_mean;
-    auto spec = fft_.forward_real(row);
-    for (int m = 1; m <= nlon / 2; ++m) spec[m] *= factor(m, j);
-    row = fft_.inverse_real(spec);
-    for (int i = 0; i < nlon; ++i)
-      f(i, j) = (mask(i, j) != 0) ? row[i] : saved[i];
-  }
+  Workspace ws = make_workspace();
+  for (int j = 0; j < grid_.nlat(); ++j)
+    if (filters_row(j)) filter_row(&f(0, j), &mask(0, j), j, ws);
 }
 
 void laplacian_masked(const MercatorGrid& grid, const Field2Dd& f,
                       const Field2D<int>& mask, Field2Dd& out) {
   const int nx = grid.nlon();
   const int ny = grid.nlat();
-  FOAM_REQUIRE(f.nx() == nx && f.ny() == ny, "field shape");
   if (out.nx() != nx || out.ny() != ny) out = Field2Dd(nx, ny);
-  for (int j = 0; j < ny; ++j) {
+  laplacian_masked_box(grid, f, mask, out, 0, ny, 0, nx);
+}
+
+void laplacian_masked_box(const MercatorGrid& grid, const Field2Dd& f,
+                          const Field2D<int>& mask, Field2Dd& out, int j0,
+                          int j1, int i0, int i1) {
+  const int nx = grid.nlon();
+  const int ny = grid.nlat();
+  FOAM_REQUIRE(f.nx() == nx && f.ny() == ny && out.nx() == nx &&
+                   out.ny() == ny,
+               "field shape");
+  FOAM_REQUIRE(0 <= j0 && j0 <= j1 && j1 <= ny && 0 <= i0 && i0 <= i1 &&
+                   i1 <= nx,
+               "box [" << j0 << "," << j1 << ")x[" << i0 << "," << i1
+                       << ")");
+  for (int j = j0; j < j1; ++j) {
     const double inv_dx2 = 1.0 / (grid.dx(j) * grid.dx(j));
     const double inv_dy2 = 1.0 / (grid.dy(j) * grid.dy(j));
-    for (int i = 0; i < nx; ++i) {
+    for (int i = i0; i < i1; ++i) {
       if (mask(i, j) == 0) {
         out(i, j) = 0.0;
         continue;

@@ -12,10 +12,11 @@
 ///   it ("spatial mode splitting on the grid is prevented through the use of
 ///   a del^4 numerical dissipation").
 
+#include <complex>
 #include <vector>
 
 #include "base/field.hpp"
-#include "numerics/fft.hpp"
+#include "numerics/fft_plan.hpp"
 #include "numerics/grid.hpp"
 
 namespace foam::numerics {
@@ -30,11 +31,30 @@ class PolarFourierFilter {
  public:
   PolarFourierFilter(const MercatorGrid& grid, double crit_lat_deg = 60.0);
 
-  /// Filter one 2-D field in place. Land cells (mask == 0) participate via
-  /// zero-filled rows only when the whole row is ocean-free; mixed rows are
-  /// filtered with land values left in place and restored after (the filter
-  /// is a numerical-stability device, exact conservation near coasts is not
-  /// required — the paper's usage).
+  /// Transform scratch for filter_row: the caller owns one per thread, so
+  /// filtering a row allocates nothing.
+  struct Workspace {
+    std::vector<std::complex<double>> spec;
+    std::vector<std::complex<double>> work;
+  };
+  Workspace make_workspace() const;
+
+  /// True when grid row \p j lies poleward of the critical latitude, i.e.
+  /// the filter acts on it.
+  bool filters_row(int j) const { return grid_.cos_lat(j) < cos_crit_; }
+
+  /// Filter one zonal row of nlon values at grid row \p j in place. With a
+  /// \p mask (nullptr = all wet), dry cells are filled with the row's wet
+  /// mean for the transform so the filter sees no artificial jumps at
+  /// coastlines, and only wet cells are written back; a row with no wet
+  /// cell is left untouched. The transform is FftPlan's complex path, so
+  /// the result is bitwise that of the reference Fft.
+  void filter_row(double* row, const int* mask, int j, Workspace& ws) const;
+
+  /// Filter one 2-D field in place: every row poleward of the critical
+  /// latitude goes through filter_row. Land cells (mask == 0) keep their
+  /// values (the filter is a numerical-stability device, exact
+  /// conservation near coasts is not required — the paper's usage).
   void apply(Field2Dd& f, const Field2D<int>& mask) const;
   void apply(Field2Dd& f) const;
 
@@ -47,7 +67,9 @@ class PolarFourierFilter {
   const MercatorGrid& grid_;
   double crit_lat_deg_;
   double cos_crit_;
-  Fft fft_;
+  FftPlan plan_;
+  /// factor(m, j) tabulated for m = 0..nlon/2, row-major in j.
+  std::vector<double> gain_;
 };
 
 /// Masked metric Laplacian on a Mercator grid: for each ocean cell,
@@ -55,6 +77,13 @@ class PolarFourierFilter {
 /// with one-sided closure at land (no-flux). Longitude wraps periodically.
 void laplacian_masked(const MercatorGrid& grid, const Field2Dd& f,
                       const Field2D<int>& mask, Field2Dd& out);
+
+/// laplacian_masked restricted to rows [j0, j1) and columns [i0, i1) of
+/// \p out (already grid-sized); cells outside the box are not written.
+/// Longitude still wraps, so a box edge reads its neighbour column.
+void laplacian_masked_box(const MercatorGrid& grid, const Field2Dd& f,
+                          const Field2D<int>& mask, Field2Dd& out, int j0,
+                          int j1, int i0, int i1);
 
 /// Biharmonic (del^4) dissipation tendency: out = -k4 * lap(lap(f)).
 /// k4 in m^4/s.

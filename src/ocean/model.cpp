@@ -50,6 +50,8 @@ OceanModel::OceanModel(const OceanConfig& cfg,
       vgrid_(cfg.nz, cfg.dz_top, cfg.total_depth),
       levels_(column_levels(vgrid_, bathymetry)),
       mask2d_(cfg.nx, cfg.ny, 0),
+      kmask_(static_cast<std::size_t>(cfg.nz),
+             Field2D<int>(cfg.nx, cfg.ny, 0)),
       depth_(cfg.nx, cfg.ny, 0.0),
       filter_(grid, cfg.filter_lat),
       decomp_(make_ocean_decomp(cfg, comm, px)),
@@ -101,7 +103,10 @@ OceanModel::OceanModel(const OceanConfig& cfg,
       const int lev = levels_(i, j);
       mask2d_(i, j) = lev > 0 ? 1 : 0;
       double h = 0.0;
-      for (int k = 0; k < lev; ++k) h += vgrid_.dz(k);
+      for (int k = 0; k < lev; ++k) {
+        h += vgrid_.dz(k);
+        kmask_[static_cast<std::size_t>(k)](i, j) = 1;
+      }
       depth_(i, j) = h;
     }
   }
@@ -129,6 +134,14 @@ OceanModel::OceanModel(const OceanConfig& cfg,
   // takes this branch or none do).
   if (comm_ != nullptr && decomp_.px() > 1)
     row_comm_ = comm_->split(pj_, pi_);
+  for (int j = j0_; j < j1_; ++j) {
+    if (!filter_.filters_row(j)) continue;
+    int wet_levels = 0;
+    for (int i = 0; i < cfg_.nx; ++i)
+      wet_levels = std::max(wet_levels, levels_(i, j));
+    if (wet_levels > 0) polar_rows_.push_back({j, wet_levels});
+  }
+  filter_ws_ = filter_.make_workspace();
   // External gravity-wave CFL sanity check.
   const double c_ext =
       std::sqrt(gravity * cfg_.total_depth / cfg_.slow_factor);
@@ -143,22 +156,31 @@ OceanModel::OceanModel(const OceanConfig& cfg,
 }
 
 void OceanModel::init_climatology() {
+  // The profiles separate into a latitude factor and a depth factor; each
+  // transcendental is evaluated once per row or level, not per cell.
+  std::vector<double> e900(cfg_.nz), e500(cfg_.nz);
+  for (int k = 0; k < cfg_.nz; ++k) {
+    e900[k] = std::exp(-vgrid_.z_center(k) / 900.0);
+    e500[k] = std::exp(-vgrid_.z_center(k) / 500.0);
+  }
   for (int j = 0; j < cfg_.ny; ++j) {
     const double lat_deg = grid_.lat(j) / deg2rad;
     const double tsurf =
         std::max(sea_ice_freeze_c,
                  -2.0 + 30.0 * std::exp(-std::pow(lat_deg / 32.0, 2.0)));
-    for (int i = 0; i < cfg_.nx; ++i) {
-      for (int k = 0; k < cfg_.nz; ++k) {
-        const double z = vgrid_.z_center(k);
-        // Deep water near 0.5 C with a weak stable abyssal gradient (an
-        // exactly neutral abyss lets advection noise churn unopposed);
-        // surface-intensified thermocline. The salinity term keeps polar
-        // columns (cold fresh over warmer salty) statically stable.
-        t_(i, j, k) = 0.5 + 0.6 * (1.0 - z / cfg_.total_depth) +
-                      (tsurf - 1.1) * std::exp(-z / 900.0);
-        s_(i, j, k) = cfg_.s_ref + 1.2 * std::exp(-z / 500.0) *
-                                       std::cos(2.0 * grid_.lat(j));
+    const double cos2lat = std::cos(2.0 * grid_.lat(j));
+    for (int k = 0; k < cfg_.nz; ++k) {
+      const double z = vgrid_.z_center(k);
+      // Deep water near 0.5 C with a weak stable abyssal gradient (an
+      // exactly neutral abyss lets advection noise churn unopposed);
+      // surface-intensified thermocline. The salinity term keeps polar
+      // columns (cold fresh over warmer salty) statically stable.
+      const double t = 0.5 + 0.6 * (1.0 - z / cfg_.total_depth) +
+                       (tsurf - 1.1) * e900[k];
+      const double s = cfg_.s_ref + 1.2 * e500[k] * cos2lat;
+      for (int i = 0; i < cfg_.nx; ++i) {
+        t_(i, j, k) = t;
+        s_(i, j, k) = s;
       }
     }
   }
@@ -480,13 +502,11 @@ void OceanModel::internal_momentum_step() {
   // stable). Divergence damping likewise.
   Field2Dd lvl(nx, cfg_.ny, 0.0), lap1(nx, cfg_.ny, 0.0),
       lap2(nx, cfg_.ny, 0.0), divf(nx, cfg_.ny, 0.0);
-  Field2D<int> kmask(nx, cfg_.ny, 0);
   for (int pass = 0; pass < 2; ++pass) {
     const Field3Dd& vel_prev = (pass == 0) ? up_prev_ : vp_prev_;
     Field3Dd& tend = (pass == 0) ? gx_ : gy_;
     for (int k = 0; k < cfg_.nz; ++k) {
-      for (int j = 0; j < cfg_.ny; ++j)
-        for (int i = 0; i < nx; ++i) kmask(i, j) = wet(i, j, k) ? 1 : 0;
+      const Field2D<int>& kmask = kmask_[static_cast<std::size_t>(k)];
       const int lo = std::max(0, j0_ - 1);
       const int hi = std::min(cfg_.ny, j1_ + 1);
       for (int j = lo; j < hi; ++j)
@@ -516,7 +536,10 @@ void OceanModel::internal_momentum_step() {
         }
       }
       exchange_halo(lap1);
-      numerics::laplacian_masked(grid_, lap1, kmask, lap2);
+      // lap2 is only read on the owned box, where lap1's halo ring is
+      // current.
+      numerics::laplacian_masked_box(grid_, lap1, kmask, lap2, j0_, j1_, i0_,
+                                     i1_);
       for (int j = j0_; j < j1_; ++j) {
         const double d = dx(j);
         // Caps keep the explicit (lagged, effective step 2dt) updates
@@ -810,12 +833,9 @@ void OceanModel::barotropic_subcycle() {
             std::clamp(-sn * u1 + cs * v1, -cfg_.max_barotropic, cfg_.max_barotropic);
       }
     }
-    // The momentum update touched owned rows only; refresh halos before
-    // any stencil (the index filter, continuity) reads neighbours.
-    exchange_halo(ub_);
-    exchange_halo(vb_);
     // Wall-normal damping for the barotropic velocities (their wall flux is
-    // already zero; the velocity itself must not ring).
+    // already zero; the velocity itself must not ring). It reads only the
+    // mask, so the halo refresh waits until after it.
     if (cfg_.wall_normal_retain < 1.0) {
       const double keep = cfg_.wall_normal_retain;
       for (int j = j0_; j < j1_; ++j) {
@@ -829,6 +849,8 @@ void OceanModel::barotropic_subcycle() {
         }
       }
     }
+    // The momentum update touched owned cells only; refresh halos before
+    // any stencil (the index filter, continuity) reads neighbours.
     exchange_halo(ub_);
     exchange_halo(vb_);
     if (cfg_.baro_filter_eps > 0.0) {
@@ -1094,196 +1116,96 @@ void OceanModel::tracer_step() {
   work_points_ += 6.0 * wet_cells;
 }
 
-void OceanModel::apply_polar_filter_row(double* row, int j,
-                                        const int* rowmask) {
-  // Fill non-wet cells with the wet mean, filter zonally, restore.
-  static thread_local numerics::Fft* fft = nullptr;
-  static thread_local int fft_n = 0;
-  if (fft == nullptr || fft_n != cfg_.nx) {
-    delete fft;
-    fft = new numerics::Fft(cfg_.nx);
-    fft_n = cfg_.nx;
+void OceanModel::filter_polar_slots() {
+  if (row_comm_ == nullptr) {  // whole rows are local (serial or px == 1)
+    for (const PolarSlot& s : polar_slots_)
+      filter_.filter_row(s.row, s.mask, s.j, filter_ws_);
+    return;
   }
-  double mean = 0.0;
-  int n = 0;
-  for (int i = 0; i < cfg_.nx; ++i)
-    if (rowmask[i] != 0) {
-      mean += row[i];
-      ++n;
-    }
-  if (n == 0) return;
-  mean /= n;
-  std::vector<double> vals(cfg_.nx);
-  for (int i = 0; i < cfg_.nx; ++i)
-    vals[i] = rowmask[i] != 0 ? row[i] : mean;
-  auto spec = fft->forward_real(vals);
-  for (int m = 1; m <= cfg_.nx / 2; ++m) spec[m] *= filter_.factor(m, j);
-  vals = fft->inverse_real(spec);
-  for (int i = 0; i < cfg_.nx; ++i)
-    if (rowmask[i] != 0) row[i] = vals[i];
+  filter_rows_distributed();
 }
 
-std::vector<double> OceanModel::row_gather_full(
-    const std::vector<double>& mine, int nslots) const {
-  // One gatherv + bcast for the whole batch: the filter is called inside
-  // every barotropic substep, so per-row messages would dominate.
-  std::vector<int> counts(row_comm_->size());
-  for (int r = 0; r < row_comm_->size(); ++r)
-    counts[r] = decomp_.x_range(r).count() * nslots;  // row-comm rank == pi
-  std::vector<double> all;
-  row_comm_->gatherv(mine, all, counts, 0);
-  row_comm_->bcast_vec(all, 0);
-  std::vector<double> full(static_cast<std::size_t>(nslots) * cfg_.nx);
-  std::size_t off = 0;
-  for (int r = 0; r < row_comm_->size(); ++r) {
-    const par::Range xr = decomp_.x_range(r);
-    for (int slot = 0; slot < nslots; ++slot)
-      for (int i = xr.lo; i < xr.hi; ++i)
-        full[static_cast<std::size_t>(slot) * cfg_.nx + i] = all[off++];
-  }
-  return full;
-}
-
-void OceanModel::filter_rows_distributed(
-    std::vector<double>& full, int nslots,
-    const std::function<int(int)>& j_of,
-    const std::function<void(int, int*)>& fill_mask) {
-  const int P = row_comm_->size();
-  const int rr = row_comm_->rank();
+void OceanModel::filter_rows_distributed() {
   // Round-robin slot ownership balances the filter work across the
   // process row — this is the whole point of decomposing in x: the polar
   // ranks' filter load, which caps the row decomposition's scaling,
   // divides by px instead of being repeated on every rank.
-  std::vector<int> rowmask(cfg_.nx);
-  for (int s = rr; s < nslots; s += P) {
-    fill_mask(s, rowmask.data());
-    apply_polar_filter_row(full.data() + static_cast<std::size_t>(s) * cfg_.nx,
-                           j_of(s), rowmask.data());
+  const int P = row_comm_->size();
+  const int rr = row_comm_->rank();  // row-comm rank == pi
+  const int nx = cfg_.nx;
+  const int nslots = static_cast<int>(polar_slots_.size());
+  const int per_rank = (nslots + P - 1) / P;  // most slots any rank filters
+  int width = 0;
+  for (int r = 0; r < P; ++r)
+    width = std::max(width, decomp_.x_range(r).count());
+  // Block for one peer: per_rank segments, each padded to width.
+  const std::size_t block = static_cast<std::size_t>(per_rank) * width;
+  auto seg = [&](int r, int t) {
+    return static_cast<std::size_t>(r) * block +
+           static_cast<std::size_t>(t) * width;
+  };
+  transpose_send_.resize(block * P);
+  transpose_recv_.resize(block * P);
+  transpose_rows_.resize(static_cast<std::size_t>(per_rank) * nx);
+
+  // Round 1: my segment of slot s goes to rank s % P as its (s / P)-th.
+  for (int s = 0; s < nslots; ++s) {
+    const double* row = polar_slots_[static_cast<std::size_t>(s)].row;
+    std::copy(row + i0_, row + i1_,
+              transpose_send_.begin() +
+                  static_cast<std::ptrdiff_t>(seg(s % P, s / P)));
   }
-  // Re-share the filtered rows (one gatherv + bcast for the batch): rank
-  // r's contribution is its slots r, r+P, ... in increasing slot order.
-  std::vector<int> counts(P);
-  for (int r = 0; r < P; ++r)
-    counts[r] = cfg_.nx * ((nslots - r + P - 1) / P);
-  std::vector<double> contrib;
-  contrib.reserve(static_cast<std::size_t>(counts[rr]));
-  for (int s = rr; s < nslots; s += P)
-    contrib.insert(contrib.end(),
-                   full.begin() + static_cast<std::ptrdiff_t>(s) * cfg_.nx,
-                   full.begin() + static_cast<std::ptrdiff_t>(s + 1) * cfg_.nx);
-  std::vector<double> all;
-  row_comm_->gatherv(contrib, all, counts, 0);
-  row_comm_->bcast_vec(all, 0);
-  std::size_t off = 0;
-  for (int r = 0; r < P; ++r)
-    for (int s = r; s < nslots; s += P, off += cfg_.nx)
-      std::copy(all.begin() + static_cast<std::ptrdiff_t>(off),
-                all.begin() + static_cast<std::ptrdiff_t>(off + cfg_.nx),
-                full.begin() + static_cast<std::ptrdiff_t>(s) * cfg_.nx);
+  row_comm_->alltoall(transpose_send_.data(), transpose_recv_.data(), block);
+  // Assemble, filter and split each of my slots rr, rr + P, ...
+  for (int t = 0, s = rr; s < nslots; ++t, s += P) {
+    double* full = transpose_rows_.data() + static_cast<std::size_t>(t) * nx;
+    for (int r = 0; r < P; ++r) {
+      const par::Range xr = decomp_.x_range(r);
+      std::copy_n(transpose_recv_.begin() +
+                      static_cast<std::ptrdiff_t>(seg(r, t)),
+                  xr.count(), full + xr.lo);
+    }
+    const PolarSlot& slot = polar_slots_[static_cast<std::size_t>(s)];
+    filter_.filter_row(full, slot.mask, slot.j, filter_ws_);
+    for (int r = 0; r < P; ++r) {
+      const par::Range xr = decomp_.x_range(r);
+      std::copy_n(full + xr.lo, xr.count(),
+                  transpose_send_.begin() +
+                      static_cast<std::ptrdiff_t>(seg(r, t)));
+    }
+  }
+  // Round 2: the filtered segments come home.
+  row_comm_->alltoall(transpose_send_.data(), transpose_recv_.data(), block);
+  for (int s = 0; s < nslots; ++s) {
+    const PolarSlot& slot = polar_slots_[static_cast<std::size_t>(s)];
+    const double* back = transpose_recv_.data() + seg(s % P, s / P);
+    for (int i = i0_; i < i1_; ++i)
+      if (slot.mask[i] != 0) slot.row[i] = back[i - i0_];
+  }
 }
 
 void OceanModel::apply_polar_filter_2d(Field2Dd& f) {
-  const double cos_crit = std::cos(cfg_.filter_lat * deg2rad);
-  std::vector<int> rows;
-  for (int j = j0_; j < j1_; ++j)
-    if (grid_.cos_lat(j) < cos_crit) rows.push_back(j);
-  // Ranks sharing a process row share the j-range, so this early return
-  // (and the collective gather below) stays aligned across the row comm.
-  if (rows.empty()) return;
-  std::vector<double> row(cfg_.nx);
-  std::vector<int> rowmask(cfg_.nx);
-  if (row_comm_ == nullptr) {  // full rows are local (px == 1 or serial)
-    for (const int j : rows) {
-      for (int i = 0; i < cfg_.nx; ++i) {
-        row[i] = f(i, j);
-        rowmask[i] = mask2d_(i, j);
-      }
-      apply_polar_filter_row(row.data(), j, rowmask.data());
-      for (int i = 0; i < cfg_.nx; ++i)
-        if (rowmask[i] != 0) f(i, j) = row[i];
-    }
-    return;
-  }
-  // 2-D path: gather the owned segments of every polar row across the
-  // process row, filter the reconstructed rows cooperatively (each rank a
-  // balanced share), write back only the owned segment.
-  const int xcnt = i1_ - i0_;
-  std::vector<double> mine(rows.size() * static_cast<std::size_t>(xcnt));
-  for (std::size_t s = 0; s < rows.size(); ++s)
-    for (int i = i0_; i < i1_; ++i)
-      mine[s * xcnt + (i - i0_)] = f(i, rows[s]);
-  std::vector<double> full =
-      row_gather_full(mine, static_cast<int>(rows.size()));
-  filter_rows_distributed(
-      full, static_cast<int>(rows.size()),
-      [&](int s) { return rows[static_cast<std::size_t>(s)]; },
-      [&](int s, int* m) {
-        const int j = rows[static_cast<std::size_t>(s)];
-        for (int i = 0; i < cfg_.nx; ++i) m[i] = mask2d_(i, j);
-      });
-  for (std::size_t s = 0; s < rows.size(); ++s) {
-    const int j = rows[s];
-    for (int i = i0_; i < i1_; ++i)
-      if (mask2d_(i, j) != 0) f(i, j) = full[s * cfg_.nx + i];
-  }
+  // Ranks sharing a process row share the j-range, so an empty slot list
+  // (and the collective transpose) stays aligned across the row comm.
+  if (polar_rows_.empty()) return;
+  polar_slots_.clear();
+  for (const PolarRow& p : polar_rows_)
+    polar_slots_.push_back({&f(0, p.j), &mask2d_(0, p.j), p.j});
+  filter_polar_slots();
 }
 
 void OceanModel::apply_polar_filter_3d(Field3Dd& f) {
-  const double cos_crit = std::cos(cfg_.filter_lat * deg2rad);
-  std::vector<int> rows;
-  for (int j = j0_; j < j1_; ++j)
-    if (grid_.cos_lat(j) < cos_crit) rows.push_back(j);
-  if (rows.empty()) return;  // no polar rows owned by this process row
-  std::vector<double> row(cfg_.nx);
-  std::vector<int> rowmask(cfg_.nx);
-  if (row_comm_ == nullptr) {  // full rows are local (px == 1 or serial)
-    for (int k = 0; k < cfg_.nz; ++k) {
-      for (const int j : rows) {
-        // Per-level wet mask: columns dry at this depth are treated as land
-        // so their placeholder values never contaminate wet cells.
-        for (int i = 0; i < cfg_.nx; ++i) {
-          row[i] = f(i, j, k);
-          rowmask[i] = wet(i, j, k) ? 1 : 0;
-        }
-        apply_polar_filter_row(row.data(), j, rowmask.data());
-        for (int i = 0; i < cfg_.nx; ++i)
-          if (rowmask[i] != 0) f(i, j, k) = row[i];
-      }
-    }
-    return;
-  }
-  // 2-D path: one batched gather for all (level, polar-row) slots.
-  const int xcnt = i1_ - i0_;
-  const std::size_t nslots =
-      rows.size() * static_cast<std::size_t>(cfg_.nz);
-  std::vector<double> mine(nslots * static_cast<std::size_t>(xcnt));
-  std::size_t s = 0;
-  for (int k = 0; k < cfg_.nz; ++k) {
-    for (const int j : rows) {
-      for (int i = i0_; i < i1_; ++i)
-        mine[s * xcnt + (i - i0_)] = f(i, j, k);
-      ++s;
-    }
-  }
-  std::vector<double> full = row_gather_full(mine, static_cast<int>(nslots));
-  // Slot order matches the pack above: level-major, owned polar rows inner.
-  const int nrows = static_cast<int>(rows.size());
-  filter_rows_distributed(
-      full, static_cast<int>(nslots),
-      [&](int slot) { return rows[static_cast<std::size_t>(slot % nrows)]; },
-      [&](int slot, int* m) {
-        const int j = rows[static_cast<std::size_t>(slot % nrows)];
-        const int k = slot / nrows;
-        for (int i = 0; i < cfg_.nx; ++i) m[i] = wet(i, j, k) ? 1 : 0;
-      });
-  s = 0;
-  for (int k = 0; k < cfg_.nz; ++k) {
-    for (const int j : rows) {
-      for (int i = i0_; i < i1_; ++i)
-        if (wet(i, j, k)) f(i, j, k) = full[s * cfg_.nx + i];
-      ++s;
-    }
-  }
+  if (polar_rows_.empty()) return;  // no wet polar rows in this process row
+  // Per-level wet masks: columns dry at a depth are treated as land so
+  // their placeholder values never contaminate wet cells.
+  polar_slots_.clear();
+  for (int k = 0; k < cfg_.nz; ++k)
+    for (const PolarRow& p : polar_rows_)
+      if (k < p.wet_levels)
+        polar_slots_.push_back({&f(0, p.j, k),
+                                &kmask_[static_cast<std::size_t>(k)](0, p.j),
+                                p.j});
+  filter_polar_slots();
 }
 
 void OceanModel::step() {

@@ -28,13 +28,12 @@
 /// its box and keeps a one-cell halo ring current through nonblocking
 /// message passing (rows first, then periodic columns over the extended row
 /// range, so corners arrive consistent). Zonal operations that need whole
-/// rows — the polar Fourier filter — gather the polar rows across the
-/// process row, filter them cooperatively (a balanced share per rank), and
-/// write back the owned segments. With comm == nullptr the model runs
-/// serially.
+/// rows — the polar Fourier filter — transpose the polar rows across the
+/// process row (one all-to-all deals each rank the segments of the rows it
+/// filters, a balanced share), filter them, and transpose the owned
+/// segments back. With comm == nullptr the model runs serially.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -160,22 +159,24 @@ class OceanModel {
 
   void exchange_halo(Field2Dd& f);
   void exchange_halo(Field3Dd& f);
-  /// Gather full x-rows across the process row: \p mine holds this rank's
-  /// owned segment of each of \p nslots rows, slot-major; returns
-  /// nslots * nx values, each slot a complete zonal row (replicated on
-  /// every rank of the row communicator).
-  std::vector<double> row_gather_full(const std::vector<double>& mine,
-                                      int nslots) const;
-  /// Filter \p nslots gathered full rows cooperatively across the process
-  /// row: row-comm rank r filters slots r, r+P, ... in place (each slot's
-  /// grid row given by \p j_of, wet mask filled by \p fill_mask), then the
-  /// filtered rows are re-shared so every rank returns with all slots
-  /// filtered. The filter is deterministic, so the result is bitwise
-  /// independent of which rank filtered which slot.
-  void filter_rows_distributed(
-      std::vector<double>& full, int nslots,
-      const std::function<int(int)>& j_of,
-      const std::function<void(int, int*)>& fill_mask);
+  /// One zonal row the polar filter acts on: the row's nx cells in a 2-D
+  /// or 3-D field (x-contiguous), its wet mask and its grid row.
+  struct PolarSlot {
+    double* row;
+    const int* mask;
+    int j;
+  };
+  /// Filter every slot of polar_slots_ in place (only wet owned cells
+  /// change). Serial or px == 1, each row is local and is filtered where
+  /// it lies; otherwise filter_rows_distributed does it.
+  void filter_polar_slots();
+  /// Transpose the polar slots across the process row (P ranks): slot s
+  /// goes to row-comm rank s % P, which receives every rank's segment of
+  /// it in one alltoall (blocks padded to the widest x-range), filters the
+  /// whole row, and a second alltoall returns each rank only its own
+  /// filtered segments. The filter is deterministic per row, so the result
+  /// is bitwise independent of which rank filtered which slot.
+  void filter_rows_distributed();
   void density();
   void baroclinic_pressure();
   void pressure_forces();  // fills gx_, gy_, fbar_x_, fbar_y_ from pbc_
@@ -184,7 +185,6 @@ class OceanModel {
   void tracer_step();
   void vertical_mixing_coefficients();
   void convective_adjustment();
-  void apply_polar_filter_row(double* row, int j, const int* rowmask);
   void apply_polar_filter_2d(Field2Dd& f);
   void apply_polar_filter_3d(Field3Dd& f);
   void enforce_zero_depth_mean();
@@ -203,6 +203,8 @@ class OceanModel {
   VerticalGrid vgrid_;
   Field2D<int> levels_;
   Field2D<int> mask2d_;
+  /// Per-level wet masks: kmask_[k](i, j) = wet(i, j, k) ? 1 : 0.
+  std::vector<Field2D<int>> kmask_;
   Field2Dd depth_;  // actual wet column depth [m]
   numerics::PolarFourierFilter filter_;
 
@@ -216,8 +218,23 @@ class OceanModel {
   /// px > 1) the wrapped halo column on each side.
   std::vector<int> xext_;
   /// Communicator over the ranks sharing this process row (key = pi), used
-  /// by the polar-filter row gather; null when px == 1.
+  /// by the polar-filter transpose; null when px == 1.
   std::unique_ptr<par::Comm> row_comm_;
+  /// Owned rows poleward of the filter's critical latitude that hold
+  /// water, each with its number of wet levels (the deepest column along
+  /// the row). Dry rows and levels are never filtered: the filter would
+  /// leave them untouched, so they are not transposed either.
+  struct PolarRow {
+    int j;
+    int wet_levels;
+  };
+  std::vector<PolarRow> polar_rows_;
+  /// Polar-filter scratch, reused every call: the slots being filtered,
+  /// the transform workspace, and the transpose buffers (alltoall blocks
+  /// and the whole rows this rank filters).
+  std::vector<PolarSlot> polar_slots_;
+  numerics::PolarFourierFilter::Workspace filter_ws_;
+  std::vector<double> transpose_send_, transpose_recv_, transpose_rows_;
 
   // State (leapfrog: current and previous levels).
   Field3Dd up_, vp_;            // baroclinic deviation velocity [m/s]

@@ -135,20 +135,28 @@ TEST(ParallelCoupled, BlockingExchangeRecordsCommWait) {
 
 TEST(ParallelCoupled, OverlapExchangeRunsAndShrinksCommWait) {
   // With overlap on, the SST reply rides under the next atmosphere
-  // interval: rank 0's comm-wait must not exceed the blocking run's.
+  // interval: rank 0's comm-wait must not exceed the blocking run's. The
+  // margin is structural, not one interval of wall-clock noise: the
+  // full-core cost emulation (at 32 transforms per level) makes each
+  // atmosphere interval clearly longer than the ocean's, so overlap hides
+  // every ocean call but the last one (drained after the loop), while
+  // blocking waits for all four: overlap waits about a quarter as long.
   FoamConfig cfg = FoamConfig::testing();
+  cfg.atm.emulate_full_core_cost = true;
+  cfg.atm.emulate_transforms_per_level = 32;
+  const double days = 1.0;  // four exchanges
   double wait_blocking = 0.0, wait_overlap = 0.0;
   par::run(2, [&](par::Comm& world) {
     ParallelRunOptions opts;
     opts.layout = RankLayout::rows(1, 1);
     opts.overlap = false;
-    auto res = run_coupled_parallel(world, opts, cfg, 0.5);
+    auto res = run_coupled_parallel(world, opts, cfg, days);
     if (world.rank() == 0)
       wait_blocking = res.region_seconds(0, par::Region::kCommWait);
     opts.overlap = true;
-    res = run_coupled_parallel(world, opts, cfg, 0.5);
+    res = run_coupled_parallel(world, opts, cfg, days);
     EXPECT_GT(res.speedup(), 0.0);
-    EXPECT_NEAR(res.simulated_seconds, 0.5 * 86400.0, 1.0);
+    EXPECT_NEAR(res.simulated_seconds, days * 86400.0, 1.0);
     if (world.rank() == 0)
       wait_overlap = res.region_seconds(0, par::Region::kCommWait);
   });

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <random>
 
 #include "base/constants.hpp"
+#include "numerics/fft.hpp"
 
 namespace foam::numerics {
 namespace {
@@ -102,6 +105,124 @@ TEST(PolarFilter, MaskedApplyLeavesLandUntouched) {
   filter.apply(f, mask);
   for (int i = 20; i < 40; ++i)
     EXPECT_DOUBLE_EQ(f(i, 62), orig(i, 62)) << "land i=" << i;
+}
+
+// The masked row filter as it ran on the reference Fft before FftPlan:
+// fill dry cells with the wet mean, real forward, scale, real inverse,
+// restore the dry cells. The oracle for the plan-based filter_row.
+void reference_filter_row(const Fft& fft, const PolarFourierFilter& filter,
+                          std::vector<double>& row, const int* mask, int j) {
+  const int n = fft.size();
+  std::vector<double> vals(row);
+  if (mask != nullptr) {
+    double mean = 0.0;
+    int wet = 0;
+    for (int i = 0; i < n; ++i)
+      if (mask[i] != 0) {
+        mean += row[i];
+        ++wet;
+      }
+    if (wet == 0) return;
+    mean /= wet;
+    for (int i = 0; i < n; ++i)
+      if (mask[i] == 0) vals[i] = mean;
+  }
+  auto spec = fft.forward_real(vals);
+  for (int m = 1; m <= n / 2; ++m) spec[m] *= filter.factor(m, j);
+  vals = fft.inverse_real(spec);
+  for (int i = 0; i < n; ++i)
+    if (mask == nullptr || mask[i] != 0) row[i] = vals[i];
+}
+
+TEST(PolarFilter, PlanRowFilterMatchesReferenceFftBitwise) {
+  // Ocean row lengths: 48 (tests), 96, 128 (paper). Random values and
+  // random masks of every wet fraction, plus all-dry, all-wet and unmasked
+  // rows: every cell must come out bitwise equal to the reference path.
+  for (const int n : {48, 96, 128}) {
+    MercatorGrid grid(n, n, 78.0);
+    PolarFourierFilter filter(grid, 60.0);
+    const Fft fft(n);
+    auto ws = filter.make_workspace();
+    std::mt19937 rng(17u + static_cast<unsigned>(n));
+    std::uniform_real_distribution<double> val(-3.0, 3.0);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    int filtered = 0;
+    for (int j = 0; j < n; ++j) {
+      if (!filter.filters_row(j)) continue;
+      ++filtered;
+      for (int variant = 0; variant < 4; ++variant) {
+        std::vector<int> mask(n, 1);
+        const double p_wet = unit(rng);
+        for (int i = 0; i < n; ++i) {
+          if (variant == 0) mask[i] = 0;  // all dry
+          if (variant == 2) mask[i] = unit(rng) < p_wet ? 1 : 0;
+        }
+        const int* m = variant == 3 ? nullptr : mask.data();  // 1: all wet
+        std::vector<double> ref(n);
+        for (double& v : ref) v = val(rng);
+        std::vector<double> got(ref);
+        reference_filter_row(fft, filter, ref, m, j);
+        filter.filter_row(got.data(), m, j, ws);
+        for (int i = 0; i < n; ++i)
+          ASSERT_EQ(got[i], ref[i]) << "n=" << n << " j=" << j
+                                    << " variant=" << variant << " i=" << i;
+      }
+    }
+    EXPECT_GT(filtered, 0) << "n=" << n;
+  }
+}
+
+TEST(PolarFilter, ApplyFiltersExactlyThePolarRows) {
+  // Both apply overloads are filter_row over the rows poleward of the
+  // critical latitude; every other row is left bitwise untouched.
+  MercatorGrid grid(48, 48, 78.0);
+  PolarFourierFilter filter(grid, 60.0);
+  auto ws = filter.make_workspace();
+  Field2D<int> mask = all_ocean(48, 48);
+  Field2Dd f(48, 48);
+  for (int j = 0; j < 48; ++j)
+    for (int i = 0; i < 48; ++i) {
+      f(i, j) = std::sin(1.7 * i + 0.3 * j) + std::cos(5.1 * i);
+      if ((i * 7 + j * 3) % 5 == 0) mask(i, j) = 0;
+    }
+  Field2Dd masked(f), unmasked(f);
+  filter.apply(masked, mask);
+  filter.apply(unmasked);
+  for (int j = 0; j < 48; ++j) {
+    std::vector<double> rm(&f(0, j), &f(0, j) + 48), ru(rm);
+    if (filter.filters_row(j)) {
+      filter.filter_row(rm.data(), &mask(0, j), j, ws);
+      filter.filter_row(ru.data(), nullptr, j, ws);
+    }
+    for (int i = 0; i < 48; ++i) {
+      ASSERT_EQ(masked(i, j), rm[i]) << i << "," << j;
+      ASSERT_EQ(unmasked(i, j), ru[i]) << i << "," << j;
+    }
+  }
+}
+
+TEST(LaplacianMasked, BoxMatchesFullGridInsideAndSkipsOutside) {
+  MercatorGrid grid(24, 20, 70.0);
+  Field2D<int> mask = all_ocean(24, 20);
+  Field2Dd f(24, 20);
+  for (int j = 0; j < 20; ++j)
+    for (int i = 0; i < 24; ++i) {
+      f(i, j) = std::sin(0.9 * i) * std::cos(0.4 * j) + 0.01 * i * j;
+      if ((i + 2 * j) % 7 == 0) mask(i, j) = 0;
+    }
+  Field2Dd full;
+  laplacian_masked(grid, f, mask, full);
+  // A box touching the periodic seam (i0 = 0) and an interior one.
+  for (const auto& [j0, j1, i0, i1] :
+       {std::array<int, 4>{3, 11, 0, 7}, std::array<int, 4>{5, 20, 9, 24}}) {
+    Field2Dd box(24, 20, -99.0);
+    laplacian_masked_box(grid, f, mask, box, j0, j1, i0, i1);
+    for (int j = 0; j < 20; ++j)
+      for (int i = 0; i < 24; ++i) {
+        const bool inside = j >= j0 && j < j1 && i >= i0 && i < i1;
+        ASSERT_EQ(box(i, j), inside ? full(i, j) : -99.0) << i << "," << j;
+      }
+  }
 }
 
 TEST(LaplacianMasked, ZeroForConstantField) {

@@ -320,10 +320,14 @@ TEST(OceanModel, PartialForcingBundleLeavesOtherFieldsUntouched) {
 }
 
 /// Run `steps` forced steps serially and under the given rank grid, then
-/// require the gathered SST and free surface to match the serial fields
-/// bitwise: decomposition must not change a single bit of the state.
+/// require the state to match the serial run bitwise: the gathered SST and
+/// free surface, and T, S and the full velocities at every wet level of
+/// each rank's owned box. Decomposition must not change a single bit. The
+/// filter latitude is lowered so the polar filter acts on this 60-degree
+/// grid (12 polar rows) and its px > 1 row transpose is exercised.
 void expect_layout_bitwise(int nranks, int px, int steps) {
   SmallOcean w;
+  w.cfg.filter_lat = 50.0;
   Field2Dd taux(48, 48, 0.0), tauy(48, 48, 0.02);
   for (int j = 0; j < 48; ++j)
     for (int i = 0; i < 48; ++i)
@@ -354,6 +358,24 @@ void expect_layout_bitwise(int nranks, int px, int steps) {
             << "eta differs at (" << i << "," << j << ") px=" << px;
       }
     }
+    for (int j = m.row_lo(); j < m.row_hi(); ++j) {
+      for (int i = m.col_lo(); i < m.col_hi(); ++i) {
+        for (int k = 0; k < m.levels()(i, j); ++k) {
+          ASSERT_EQ(m.temperature()(i, j, k), serial.temperature()(i, j, k))
+              << "T differs at (" << i << "," << j << "," << k
+              << ") px=" << px;
+          ASSERT_EQ(m.salinity()(i, j, k), serial.salinity()(i, j, k))
+              << "S differs at (" << i << "," << j << "," << k
+              << ") px=" << px;
+          ASSERT_EQ(m.u_total(i, j, k), serial.u_total(i, j, k))
+              << "u differs at (" << i << "," << j << "," << k
+              << ") px=" << px;
+          ASSERT_EQ(m.v_total(i, j, k), serial.v_total(i, j, k))
+              << "v differs at (" << i << "," << j << "," << k
+              << ") px=" << px;
+        }
+      }
+    }
   });
 }
 
@@ -367,6 +389,13 @@ TEST(OceanModel, FourByOneMatchesSerialBitwise) {
 
 TEST(OceanModel, TwoByThreeMatchesSerialBitwise) {
   expect_layout_bitwise(6, 2, 8);
+}
+
+TEST(OceanModel, FiveByOneMatchesSerialBitwise) {
+  // Ragged segments: 48 columns split 10/10/10/9/9, so the transpose pads
+  // the narrower ranks' blocks; 12 polar rows (96 level slots) are not a
+  // multiple of 5, so the ranks filter unequal slot counts.
+  expect_layout_bitwise(5, 5, 8);
 }
 
 TEST(OceanModel, RejectsIndivisibleRankGrid) {
