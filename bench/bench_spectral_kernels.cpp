@@ -11,6 +11,11 @@
 // The engine must agree with the reference to <= 1e-12 relative on every
 // entry point; the bench verifies this before timing and reports the worst
 // relative difference.
+//
+// The FFT layer gets its own rows: FftPlan's 48-point real transforms (one
+// R15 row each way), a 128-point complex round trip (one ocean polar-filter
+// row), and the share of the engine's batched analysis spent in its row
+// FFTs (the same batch x nlat forward_real calls, timed alone).
 
 #include <algorithm>
 #include <chrono>
@@ -20,9 +25,11 @@
 #include <vector>
 
 #include "bench_json.hpp"
+#include "numerics/fft_plan.hpp"
 #include "numerics/spectral.hpp"
 
 using foam::Field2Dd;
+using foam::numerics::FftPlan;
 using foam::numerics::GaussianGrid;
 using foam::numerics::SpectralField;
 using foam::numerics::SpectralMode;
@@ -149,7 +156,7 @@ void run_case(const Case& c, foam::bench::BenchJson& out,
     const char* mode;
     SpectralMode m;
   };
-  double ns_ref_batched = 0.0, ns_eng_batched = 0.0;
+  double ns_ref_batched = 0.0, ns_eng_batched = 0.0, ns_eng_ban = 0.0;
   for (const Shape& sh :
        {Shape{"reference", SpectralMode::kReference},
         Shape{"engine", SpectralMode::kEngine}}) {
@@ -173,7 +180,10 @@ void run_case(const Case& c, foam::bench::BenchJson& out,
                           }) /
                           batch;
     if (sh.m == SpectralMode::kReference) ns_ref_batched = ns_ban + ns_bsy;
-    if (sh.m == SpectralMode::kEngine) ns_eng_batched = ns_ban + ns_bsy;
+    if (sh.m == SpectralMode::kEngine) {
+      ns_eng_batched = ns_ban + ns_bsy;
+      ns_eng_ban = ns_ban;
+    }
     std::printf(
         "%s %-9s analyze %9.0f ns (%5.2f GFLOP/s)  synthesize %9.0f ns "
         "(%5.2f GFLOP/s)  batched[%d] analyze %9.0f ns  synthesize %9.0f "
@@ -204,11 +214,79 @@ void run_case(const Case& c, foam::bench::BenchJson& out,
   }
   const double speedup = ns_ref_batched / ns_eng_batched;
   std::printf("%s batched analyze+synthesize speedup: %.2fx engine over "
-              "reference\n\n",
+              "reference\n",
               c.name, speedup);
   out.add("batched_speedup", speedup, "x", {{"resolution", c.name}});
+
+  // The row FFTs of one engine batched analysis: gather each row and
+  // forward_real it, as the engine does before its Legendre sums. Both
+  // sides are the best of interleaved timings, so host noise (a shared
+  // VM's steal) does not land on one side of the ratio only.
+  const FftPlan plan(c.nlon);
+  std::vector<double> row(c.nlon);
+  std::vector<std::complex<double>> spec(c.nlon / 2 + 1),
+      work(plan.workspace_size());
+  auto fft_rows = [&] {
+    for (const Field2Dd& f : fields)
+      for (int j = 0; j < c.nlat; ++j) {
+        for (int i = 0; i < c.nlon; ++i) row[i] = f(i, j);
+        plan.forward_real(row.data(), spec.data(), work.data());
+      }
+  };
+  auto analysis = [&] {
+    volatile double sink = st.analyze_batch(f_ptrs, ws)[0].at(1, 1).real();
+    (void)sink;
+  };
+  double ns_fft_rows = ns_per_call(fft_rows);
+  double ns_analysis = ns_eng_ban * batch;
+  for (int rep = 0; rep < 4; ++rep) {
+    ns_fft_rows = std::min(ns_fft_rows, ns_per_call(fft_rows));
+    ns_analysis = std::min(ns_analysis, ns_per_call(analysis));
+  }
+  const double fft_share = ns_fft_rows / ns_analysis;
+  std::printf("%s FFT share of engine batched analyze: %.2f (%d row FFTs "
+              "%.0f ns of %.0f ns per field)\n\n",
+              c.name, fft_share, c.nlat, ns_fft_rows / batch,
+              ns_analysis / batch);
+  out.add("fft_share_of_batched_analyze", fft_share, "frac",
+          {{"resolution", c.name}});
   if (std::string(c.name) == "R15" && r15_batched_speedup != nullptr)
     *r15_batched_speedup = speedup;
+}
+
+/// FFT layer rows at the model's row lengths.
+void run_fft_layer(foam::bench::BenchJson& out) {
+  const int n_atm = 48;    // R15 Gaussian-grid row
+  const int n_ocn = 128;   // paper ocean row (polar filter)
+  const FftPlan p_atm(n_atm), p_ocn(n_ocn);
+  std::vector<std::complex<double>> work(p_ocn.workspace_size());
+  std::vector<double> x(n_atm);
+  for (int i = 0; i < n_atm; ++i)
+    x[i] = std::sin(0.3 * i) + 0.25 * std::cos(2.1 * i);
+  std::vector<std::complex<double>> spec(n_atm / 2 + 1);
+  // Best of three: a microsecond kernel is easily inflated by host noise.
+  auto best_ns = [](auto&& fn) {
+    double best = ns_per_call(fn);
+    for (int rep = 0; rep < 2; ++rep) best = std::min(best, ns_per_call(fn));
+    return best;
+  };
+  const double ns_fwd = best_ns(
+      [&] { p_atm.forward_real(x.data(), spec.data(), work.data()); });
+  const double ns_inv = best_ns(
+      [&] { p_atm.inverse_real(spec.data(), x.data(), work.data()); });
+  std::vector<std::complex<double>> a(n_ocn);
+  for (int i = 0; i < n_ocn; ++i)
+    a[i] = {std::sin(0.7 * i), 0.0};
+  const double ns_rt = best_ns([&] {
+    p_ocn.forward(a.data(), work.data());
+    p_ocn.inverse(a.data(), work.data());
+  });
+  std::printf("FFT layer: n=%d forward_real %.0f ns, inverse_real %.0f ns; "
+              "n=%d complex round trip %.0f ns\n\n",
+              n_atm, ns_fwd, ns_inv, n_ocn, ns_rt);
+  out.add("fft_forward_real_ns", ns_fwd, "ns", {{"n", n_atm}});
+  out.add("fft_inverse_real_ns", ns_inv, "ns", {{"n", n_atm}});
+  out.add("fft_roundtrip_ns", ns_rt, "ns", {{"n", n_ocn}});
 }
 
 }  // namespace
@@ -221,6 +299,7 @@ int main() {
   double worst_agreement = 0.0;
   for (const Case& c : {Case{"R15", 48, 40, 15}, Case{"R31", 96, 80, 31}})
     run_case(c, out, &r15_speedup, &worst_agreement);
+  run_fft_layer(out);
   const bool pass = r15_speedup >= 2.0 && worst_agreement <= 1e-12;
   std::printf("acceptance: batched R15 analyze+synthesize %.2fx (target "
               ">= 2x), agreement %.3g (target <= 1e-12): %s\n",

@@ -10,6 +10,20 @@ namespace foam::numerics {
 
 using cplx = std::complex<double>;
 
+namespace {
+
+/// a * b spelled out in real arithmetic. On finite values these are exactly
+/// the operations `std::complex` multiplication performs, so results are
+/// bitwise the same; what goes is the C99 Annex G NaN-recovery check and
+/// its out-of-line __muldc3 call, which only ever changes a result whose
+/// parts are both NaN.
+inline cplx mul(cplx a, cplx b) {
+  return {a.real() * b.real() - a.imag() * b.imag(),
+          a.real() * b.imag() + a.imag() * b.real()};
+}
+
+}  // namespace
+
 FftPlan::FftPlan(int n) : FftPlan(n, /*build_real_path=*/true) {}
 
 FftPlan::FftPlan(int n, bool build_real_path) : n_(n) {
@@ -85,6 +99,10 @@ void FftPlan::build() {
     stages_.push_back(st);
     m = count;
   }
+  // Inverse-direction copy, so run() picks a table instead of conjugating
+  // in every butterfly.
+  stage_tw_conj_.reserve(stage_tw_.size());
+  for (const cplx& w : stage_tw_) stage_tw_conj_.push_back(std::conj(w));
 }
 
 void FftPlan::run(cplx* data, cplx* work, int sign) const {
@@ -93,10 +111,11 @@ void FftPlan::run(cplx* data, cplx* work, int sign) const {
   // ping-ponging between work and data. Stage count == factor count, so the
   // result lands in data when the factor count is odd; one memcpy otherwise.
   for (int i = 0; i < n_; ++i) work[i] = data[perm_[i]];
+  const cplx* table = sign > 0 ? stage_tw_conj_.data() : stage_tw_.data();
   cplx* src = work;
   cplx* dst = data;
   for (const Stage& st : stages_) {
-    const cplx* tw = stage_tw_.data() + st.tw_offset;
+    const cplx* tw = table + st.tw_offset;
     const int p = st.p, m = st.m, count = st.count;
     if (p == 2) {
       // Radix-2 butterfly. Both outputs use their own tabulated twiddle
@@ -110,14 +129,8 @@ void FftPlan::run(cplx* data, cplx* work, int sign) const {
         for (int q = 0; q < m; ++q) {
           const cplx a = s0[q];
           const cplx b = s0[m + q];
-          cplx w0 = tw1[q];
-          cplx w1 = tw1[m + q];
-          if (sign > 0) {
-            w0 = std::conj(w0);
-            w1 = std::conj(w1);
-          }
-          d0[q] = a + w0 * b;
-          d0[m + q] = a + w1 * b;
+          d0[q] = a + mul(tw1[q], b);
+          d0[m + q] = a + mul(tw1[m + q], b);
         }
       }
     } else {
@@ -127,12 +140,11 @@ void FftPlan::run(cplx* data, cplx* work, int sign) const {
         for (int q = 0; q < m; ++q) {
           for (int s = 0; s < p; ++s) {
             const int k = q + s * m;
+            // Accumulate from +0 as the reference does (seeding with the
+            // first product would keep a -0 that 0.0 + -0.0 turns into +0).
             cplx acc(0.0, 0.0);
-            for (int r = 0; r < p; ++r) {
-              cplx w = tw[r * count + k];
-              if (sign > 0) w = std::conj(w);
-              acc += w * s0[r * m + q];
-            }
+            for (int r = 0; r < p; ++r)
+              acc += mul(tw[r * count + k], s0[r * m + q]);
             d0[k] = acc;
           }
         }
@@ -174,8 +186,8 @@ void FftPlan::forward_real(const double* x, cplx* spec, cplx* work) const {
     const cplx zk = (k == n2) ? z[0] : z[k];
     const cplx zc = std::conj(k == 0 ? z[0] : z[n2 - k]);
     const cplx even = 0.5 * (zk + zc);
-    const cplx odd = cplx(0.0, -0.5) * (zk - zc);
-    spec[k] = even + real_tw_[k] * odd;
+    const cplx odd = mul(cplx(0.0, -0.5), zk - zc);
+    spec[k] = even + mul(real_tw_[k], odd);
   }
 }
 
@@ -200,8 +212,8 @@ void FftPlan::inverse_real(const cplx* spec, double* x, cplx* work) const {
     const cplx xk = spec[k];
     const cplx xc = std::conj(spec[n2 - k]);
     const cplx fe = 0.5 * (xk + xc);
-    const cplx fo = std::conj(real_tw_[k]) * (0.5 * (xk - xc));
-    z[k] = fe + cplx(0.0, 1.0) * fo;
+    const cplx fo = mul(std::conj(real_tw_[k]), 0.5 * (xk - xc));
+    z[k] = fe + mul(cplx(0.0, 1.0), fo);
   }
   half_->run(z, scratch, +1);
   const double inv = 1.0 / n2;

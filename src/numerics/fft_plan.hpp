@@ -15,8 +15,18 @@
 ///
 /// The complex transform performs the same butterfly sums in the same
 /// order as the reference recursion, so forward()/inverse() agree with
-/// Fft::forward()/inverse() bitwise; the real split path agrees to
-/// rounding (~1e-15 relative).
+/// Fft::forward()/inverse() bitwise. The real path is pinned bitwise as
+/// well: forward_real()/inverse_real() equal the reference Fft at N/2 plus
+/// the split/un-split passes written in std::complex arithmetic (the
+/// oracle in tests/numerics/test_fft_plan.cpp). Against the reference's
+/// full-length real path they agree to rounding (~1e-15 relative).
+///
+/// Every complex product is written out in real arithmetic,
+/// (ar*br - ai*bi, ar*bi + ai*br) — the operations std::complex performs
+/// on finite values, so finite results are unchanged. Only non-finite
+/// values differ: std::complex (C99 Annex G) recovers an infinite product
+/// whose parts came out NaN, this kernel does not. A NaN anywhere in the
+/// input still reaches every output.
 ///
 /// Thread safety: a plan is immutable after construction and may be shared
 /// freely; the workspace belongs to the caller (one per thread).
@@ -76,9 +86,9 @@ class FftPlan {
   std::vector<int> factors_;
   std::vector<int> perm_;  // digit-reversal gather: leaf i reads perm_[i]
   std::vector<Stage> stages_;
-  std::vector<std::complex<double>> stage_tw_;  // forward-sign twiddles
-  // Split post-pass twiddles exp(-pi i k / (n/2)) ... actually
-  // exp(-2 pi i k / n) for k = 0..n/2 (even n only).
+  std::vector<std::complex<double>> stage_tw_;       // forward-sign twiddles
+  std::vector<std::complex<double>> stage_tw_conj_;  // their conjugates
+  // Split-pass twiddles exp(-2 pi i k / n), k = 0..n/2 (even n only).
   std::vector<std::complex<double>> real_tw_;
   std::unique_ptr<FftPlan> half_;  // n/2 complex plan for the real path
 };

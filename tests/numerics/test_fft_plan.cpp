@@ -1,13 +1,17 @@
 // Tests for the plan-based FFT (FftPlan) and the engine/reference agreement
 // of the spectral transform's batched entry points.
 
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/constants.hpp"
 #include "numerics/fft.hpp"
 #include "numerics/fft_plan.hpp"
 #include "numerics/spectral.hpp"
@@ -89,6 +93,139 @@ TEST(FftPlan, RealMatchesReference) {
     for (int k = 0; k <= n / 2; ++k)
       EXPECT_NEAR(std::abs(s[k] - sref[k]), 0.0, 1e-14 * scale)
           << "n=" << n << " k=" << k;
+  }
+}
+
+namespace {
+
+// FftPlan's real path spelled with std::complex arithmetic: the reference
+// Fft at n/2 plus the split (forward) and un-split (inverse) passes; odd n
+// is the reference full-length path. Every model state is built on these
+// roundings, so the plan's kernel must reproduce every output bit.
+std::vector<cplx> split_twiddles(int n) {
+  std::vector<cplx> w(n / 2 + 1);
+  for (int k = 0; k <= n / 2; ++k) {
+    const double ang = -foam::constants::two_pi * k / n;
+    w[k] = cplx(std::cos(ang), std::sin(ang));
+  }
+  return w;
+}
+
+std::vector<cplx> oracle_forward_real(const std::vector<double>& x) {
+  const int n = static_cast<int>(x.size());
+  if (n % 2 != 0) return fn::Fft(n).forward_real(x);
+  const int n2 = n / 2;
+  std::vector<cplx> z(n2);
+  for (int j = 0; j < n2; ++j) z[j] = cplx(x[2 * j], x[2 * j + 1]);
+  fn::Fft(n2).forward(z);
+  const std::vector<cplx> w = split_twiddles(n);
+  std::vector<cplx> spec(n2 + 1);
+  for (int k = 0; k <= n2; ++k) {
+    const cplx zk = (k == n2) ? z[0] : z[k];
+    const cplx zc = std::conj(k == 0 ? z[0] : z[n2 - k]);
+    const cplx even = 0.5 * (zk + zc);
+    const cplx odd = cplx(0.0, -0.5) * (zk - zc);
+    spec[k] = even + w[k] * odd;
+  }
+  return spec;
+}
+
+std::vector<double> oracle_inverse_real(const std::vector<cplx>& spec,
+                                        int n) {
+  if (n % 2 != 0) return fn::Fft(n).inverse_real(spec);
+  const int n2 = n / 2;
+  const std::vector<cplx> w = split_twiddles(n);
+  std::vector<cplx> z(n2);
+  for (int k = 0; k < n2; ++k) {
+    const cplx xk = spec[k];
+    const cplx xc = std::conj(spec[n2 - k]);
+    const cplx fe = 0.5 * (xk + xc);
+    const cplx fo = std::conj(w[k]) * (0.5 * (xk - xc));
+    z[k] = fe + cplx(0.0, 1.0) * fo;
+  }
+  fn::Fft(n2).inverse(z);
+  std::vector<double> x(n);
+  for (int j = 0; j < n2; ++j) {
+    x[2 * j] = z[j].real();
+    x[2 * j + 1] = z[j].imag();
+  }
+  return x;
+}
+
+// Bit pattern: unlike ==, tells -0.0 from +0.0.
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+bool finite(cplx z) {
+  return std::isfinite(z.real()) && std::isfinite(z.imag());
+}
+
+}  // namespace
+
+TEST(FftPlan, RealPathMatchesComplexOracleBitwise) {
+  // The R15 rows (48), the ocean rows (96, 128), their divisors, and the
+  // odd full-length fallback (7, 15). Inputs include signed zeros, which
+  // a reordered or shortcut product would turn into +0.
+  for (const int n : {2, 4, 6, 7, 12, 15, 24, 48, 96, 128}) {
+    const fn::FftPlan plan(n);
+    std::vector<cplx> work(plan.workspace_size());
+    for (unsigned trial = 0; trial < 4; ++trial) {
+      std::vector<double> x = random_real(n, 31u * n + trial);
+      std::vector<cplx> spec_in = random_complex(n / 2 + 1, 17u * n + trial);
+      if (trial == 1) {
+        for (double& v : x) v = -0.0;
+        for (cplx& z : spec_in) z = cplx(-0.0, 0.0);
+      }
+      const std::vector<cplx> want_spec = oracle_forward_real(x);
+      std::vector<cplx> spec(n / 2 + 1);
+      plan.forward_real(x.data(), spec.data(), work.data());
+      for (int k = 0; k <= n / 2; ++k) {
+        EXPECT_EQ(bits(spec[k].real()), bits(want_spec[k].real()))
+            << "n=" << n << " k=" << k;
+        EXPECT_EQ(bits(spec[k].imag()), bits(want_spec[k].imag()))
+            << "n=" << n << " k=" << k;
+      }
+      const std::vector<double> want_x = oracle_inverse_real(spec_in, n);
+      std::vector<double> back(n);
+      plan.inverse_real(spec_in.data(), back.data(), work.data());
+      for (int j = 0; j < n; ++j)
+        EXPECT_EQ(bits(back[j]), bits(want_x[j])) << "n=" << n << " j=" << j;
+    }
+  }
+}
+
+TEST(FftPlan, NanReachesEveryOutput) {
+  // Finite-state checks (foambench's output check among them) rely on a
+  // NaN surviving a transform: every output depends on every input, so one
+  // NaN anywhere must make every output non-finite.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const int n : {7, 12, 48, 128}) {
+    const fn::FftPlan plan(n);
+    std::vector<cplx> work(plan.workspace_size());
+    for (int pos = 0; pos < n; ++pos) {
+      std::vector<cplx> a = random_complex(n, 3u * n + pos);
+      a[pos] = cplx(nan, a[pos].imag());
+      plan.forward(a.data(), work.data());
+      for (int k = 0; k < n; ++k)
+        EXPECT_FALSE(finite(a[k])) << "forward n=" << n << " pos=" << pos
+                                   << " k=" << k;
+
+      std::vector<double> x = random_real(n, 5u * n + pos);
+      x[pos] = nan;
+      std::vector<cplx> spec(n / 2 + 1);
+      plan.forward_real(x.data(), spec.data(), work.data());
+      for (int k = 0; k <= n / 2; ++k)
+        EXPECT_FALSE(finite(spec[k])) << "forward_real n=" << n
+                                      << " pos=" << pos << " k=" << k;
+    }
+    for (int pos = 0; pos <= n / 2; ++pos) {
+      std::vector<cplx> spec = random_complex(n / 2 + 1, 7u * n + pos);
+      spec[pos] = cplx(nan, spec[pos].imag());
+      std::vector<double> x(n);
+      plan.inverse_real(spec.data(), x.data(), work.data());
+      for (int j = 0; j < n; ++j)
+        EXPECT_FALSE(std::isfinite(x[j])) << "inverse_real n=" << n
+                                          << " pos=" << pos << " j=" << j;
+    }
   }
 }
 

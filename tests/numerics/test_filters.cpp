@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include "base/constants.hpp"
@@ -169,6 +170,34 @@ TEST(PolarFilter, PlanRowFilterMatchesReferenceFftBitwise) {
       }
     }
     EXPECT_GT(filtered, 0) << "n=" << n;
+  }
+}
+
+TEST(PolarFilter, NanInAWetCellReachesEveryWetCell) {
+  // A NaN in one wet cell of a filtered row must not be filtered away:
+  // finite-state checks rely on it reaching every wet cell. Dry cells are
+  // never written, so they keep their finite values.
+  const int n = 128;  // the paper's ocean row length
+  MercatorGrid grid(n, n, 78.0);
+  PolarFourierFilter filter(grid, 60.0);
+  auto ws = filter.make_workspace();
+  const int j = n - 1;
+  ASSERT_TRUE(filter.filters_row(j));
+  std::vector<int> mask(n, 1);
+  for (int i = 40; i < 70; ++i) mask[i] = 0;
+  for (const bool masked : {true, false}) {
+    for (int pos = 0; pos < n; ++pos) {
+      if (masked && mask[pos] == 0) continue;
+      std::vector<double> row(n);
+      for (int i = 0; i < n; ++i) row[i] = std::sin(0.37 * i) + 0.01 * pos;
+      row[pos] = std::numeric_limits<double>::quiet_NaN();
+      filter.filter_row(row.data(), masked ? mask.data() : nullptr, j, ws);
+      for (int i = 0; i < n; ++i) {
+        const bool wet = !masked || mask[i] != 0;
+        EXPECT_EQ(std::isfinite(row[i]), !wet)
+            << "masked=" << masked << " pos=" << pos << " i=" << i;
+      }
+    }
   }
 }
 
