@@ -29,6 +29,20 @@ inline std::size_t checked_size(int nx, int ny, int nz) {
   return static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny) *
          static_cast<std::size_t>(nz);
 }
+/// i modulo n in [0, n). Stencil neighbours are at most one period out of
+/// range, so that case is a compare and an add; the division is the
+/// fallback for anything further out.
+inline int wrap_index(int i, int n) {
+  if (i >= 0) {
+    if (i < n) return i;
+    if (i - n < n) return i - n;
+  } else if (i >= -n) {
+    return i + n;
+  }
+  const int m = i % n;
+  return m < 0 ? m + n : m;
+}
+
 }  // namespace detail
 
 using detail::checked_size;
@@ -101,10 +115,7 @@ class Field2D {
   std::size_t idx(int i, int j) const {
     return static_cast<std::size_t>(j) * nx_ + i;
   }
-  int mod_x(int i) const {
-    int m = i % nx_;
-    return m < 0 ? m + nx_ : m;
-  }
+  int mod_x(int i) const { return detail::wrap_index(i, nx_); }
   bool in_range(int i, int j) const {
     return i >= 0 && i < nx_ && j >= 0 && j < ny_;
   }
@@ -182,10 +193,7 @@ class Field3D {
   std::size_t idx(int i, int j, int k) const {
     return (static_cast<std::size_t>(k) * ny_ + j) * nx_ + i;
   }
-  int mod_x(int i) const {
-    int m = i % nx_;
-    return m < 0 ? m + nx_ : m;
-  }
+  int mod_x(int i) const { return detail::wrap_index(i, nx_); }
   bool in_range(int i, int j, int k) const {
     return i >= 0 && i < nx_ && j >= 0 && j < ny_ && k >= 0 && k < nz_;
   }

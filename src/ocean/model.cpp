@@ -26,6 +26,10 @@ constexpr int kTagNorth = 101;  // halo row travelling northward
 constexpr int kTagWest = 102;   // halo column travelling westward
 constexpr int kTagEast = 103;   // halo column travelling eastward
 
+/// Periodic x-neighbours of an in-range column, without a division.
+inline int x_east(int i, int nx) { return i + 1 == nx ? 0 : i + 1; }
+inline int x_west(int i, int nx) { return i == 0 ? nx - 1 : i - 1; }
+
 par::Decomp2D make_ocean_decomp(const OceanConfig& cfg, par::Comm* comm,
                                 int px) {
   FOAM_REQUIRE(px >= 1, "ocean decomposition px=" << px);
@@ -61,8 +65,6 @@ OceanModel::OceanModel(const OceanConfig& cfg,
       vp_prev_(cfg.nx, cfg.ny, cfg.nz, 0.0),
       t_(cfg.nx, cfg.ny, cfg.nz, 0.0),
       s_(cfg.nx, cfg.ny, cfg.nz, cfg.s_ref),
-      t_prev_(cfg.nx, cfg.ny, cfg.nz, 0.0),
-      s_prev_(cfg.nx, cfg.ny, cfg.nz, cfg.s_ref),
       eta_(cfg.nx, cfg.ny, 0.0),
       ub_(cfg.nx, cfg.ny, 0.0),
       vb_(cfg.nx, cfg.ny, 0.0),
@@ -72,7 +74,6 @@ OceanModel::OceanModel(const OceanConfig& cfg,
       kappa_(cfg.nx, cfg.ny, cfg.nz, cfg.kappa_b),
       gx_(cfg.nx, cfg.ny, cfg.nz, 0.0),
       gy_(cfg.nx, cfg.ny, cfg.nz, 0.0),
-      wtop_(cfg.nx, cfg.ny, cfg.nz, 0.0),
       fbar_x_(cfg.nx, cfg.ny, 0.0),
       fbar_y_(cfg.nx, cfg.ny, 0.0),
       taux_(cfg.nx, cfg.ny, 0.0),
@@ -98,9 +99,11 @@ OceanModel::OceanModel(const OceanConfig& cfg,
     levels_(i, cfg_.ny - 1) = 0;
     levels_(i, cfg_.ny - 2) = 0;
   }
+  row_levels_.assign(static_cast<std::size_t>(cfg_.ny), 0);
   for (int j = 0; j < cfg_.ny; ++j) {
     for (int i = 0; i < cfg_.nx; ++i) {
       const int lev = levels_(i, j);
+      row_levels_[j] = std::max(row_levels_[j], lev);
       mask2d_(i, j) = lev > 0 ? 1 : 0;
       double h = 0.0;
       for (int k = 0; k < lev; ++k) {
@@ -134,14 +137,14 @@ OceanModel::OceanModel(const OceanConfig& cfg,
   // takes this branch or none do).
   if (comm_ != nullptr && decomp_.px() > 1)
     row_comm_ = comm_->split(pj_, pi_);
-  for (int j = j0_; j < j1_; ++j) {
-    if (!filter_.filters_row(j)) continue;
-    int wet_levels = 0;
-    for (int i = 0; i < cfg_.nx; ++i)
-      wet_levels = std::max(wet_levels, levels_(i, j));
-    if (wet_levels > 0) polar_rows_.push_back({j, wet_levels});
-  }
+  for (int j = j0_; j < j1_; ++j)
+    if (filter_.filters_row(j) && row_levels_[j] > 0)
+      polar_rows_.push_back({j, row_levels_[j]});
   filter_ws_ = filter_.make_workspace();
+  row_acc_.assign(static_cast<std::size_t>(kRowAccs) * cfg_.nx, 0.0);
+  row_tiles_.assign(static_cast<std::size_t>(kRowTiles) * cfg_.nz * cfg_.nx,
+                    0.0);
+  row_len_.assign(static_cast<std::size_t>(cfg_.nx), 0);
   // External gravity-wave CFL sanity check.
   const double c_ext =
       std::sqrt(gravity * cfg_.total_depth / cfg_.slow_factor);
@@ -193,10 +196,7 @@ void OceanModel::init_climatology() {
   init_thermal_wind();
   up_prev_ = up_;
   vp_prev_ = vp_;
-  t_prev_ = t_;
-  s_prev_ = s_;
   have_mom_prev_ = false;
-  have_tracer_prev_ = false;
 }
 
 void OceanModel::init_thermal_wind() {
@@ -220,16 +220,22 @@ void OceanModel::init_thermal_wind() {
   for (int j = 0; j < cfg_.ny; ++j) {
     double f = 2.0 * earth_omega * std::sin(grid_.lat(j));
     if (std::abs(f) < f_floor) f = (f >= 0.0 ? f_floor : -f_floor);
-    for (int i = 0; i < cfg_.nx; ++i) {
-      const int lev = levels_(i, j);
-      if (lev == 0) continue;
-      for (int k = 0; k < lev; ++k) {
-        up_(i, j, k) = (gy_(i, j, k) - fbar_y_(i, j)) / f;
-        vp_(i, j, k) = -(gx_(i, j, k) - fbar_x_(i, j)) / f;
+    const int* lev = &levels_(0, j);
+    const double* fbx = &fbar_x_(0, j);
+    const double* fby = &fbar_y_(0, j);
+    for (int k = 0; k < row_levels_[j]; ++k) {
+      const double* gx = &gx_(0, j, k);
+      const double* gy = &gy_(0, j, k);
+      double* u = &up_(0, j, k);
+      double* v = &vp_(0, j, k);
+      for (int i = 0; i < cfg_.nx; ++i) {
+        if (k >= lev[i]) continue;
+        u[i] = (gy[i] - fby[i]) / f;
+        v[i] = -(gx[i] - fbx[i]) / f;
       }
     }
   }
-  enforce_zero_depth_mean();
+  for (int j = j0_; j < j1_; ++j) remove_depth_mean_row(j);
   j0_ = save_lo;
   j1_ = save_hi;
   i0_ = save_ilo;
@@ -324,8 +330,8 @@ void OceanModel::exchange_halo(Field2Dd& f) {
   // just received are forwarded, making the corners consistent).
   const int jlo = std::max(0, j0_ - 1);
   const int jhi = std::min(cfg_.ny, j1_ + 1);
-  const int iw = (i0_ - 1 + nx) % nx;
-  const int ie = i1_ % nx;
+  const int iw = x_west(i0_, nx);
+  const int ie = x_east(i1_ - 1, nx);
   exchange_phase(
       *comm_, decomp_.west_of(rank), decomp_.east_of(rank), kTagWest,
       kTagEast, static_cast<std::size_t>(jhi - jlo),
@@ -364,8 +370,8 @@ void OceanModel::exchange_halo(Field3Dd& f) {
   const int jlo = std::max(0, j0_ - 1);
   const int jhi = std::min(cfg_.ny, j1_ + 1);
   const std::size_t ycnt = static_cast<std::size_t>(jhi - jlo);
-  const int iw = (i0_ - 1 + nx) % nx;
-  const int ie = i1_ % nx;
+  const int iw = x_west(i0_, nx);
+  const int ie = x_east(i1_ - 1, nx);
   exchange_phase(
       *comm_, decomp_.west_of(rank), decomp_.east_of(rank), kTagWest,
       kTagEast, ycnt * nz,
@@ -383,109 +389,161 @@ void OceanModel::exchange_halo(Field3Dd& f) {
       });
 }
 
+// The column kernels below are row-tiled and level-major: each loops rows
+// j, then levels k, then columns i, so the inner loop runs along the
+// x-contiguous storage. Per-column state (running sums, the new time level,
+// tridiagonal systems) lives in nx-long row accumulators or nz x nx row
+// tiles, never in a 3-D temporary. Every wet cell performs exactly the
+// floating-point operations, in the order, of the column-at-a-time
+// formulation; only the order in which independent cells are visited
+// changes, so results are bitwise those of that formulation.
+
 void OceanModel::density() {
   const int lo = std::max(0, j0_ - 1);
   const int hi = std::min(cfg_.ny, j1_ + 1);
-  for (int j = lo; j < hi; ++j)
-    for (const int i : xext_)
-      for (int k = 0; k < levels_(i, j); ++k)
-        rho_(i, j, k) =
-            cfg_.rho0 * (1.0 - cfg_.alpha_t * (t_(i, j, k) - cfg_.t_ref) +
-                         cfg_.beta_s * (s_(i, j, k) - cfg_.s_ref));
+  for (int j = lo; j < hi; ++j) {
+    const int* lev = &levels_(0, j);
+    for (int k = 0; k < row_levels_[j]; ++k) {
+      const double* t = &t_(0, j, k);
+      const double* s = &s_(0, j, k);
+      double* rho = &rho_(0, j, k);
+      for (const int i : xext_)
+        if (k < lev[i])
+          rho[i] = cfg_.rho0 * (1.0 - cfg_.alpha_t * (t[i] - cfg_.t_ref) +
+                                cfg_.beta_s * (s[i] - cfg_.s_ref));
+    }
+  }
 }
 
 void OceanModel::baroclinic_pressure() {
+  // Hydrostatic integral from the surface down: each level adds the
+  // trapezoid between its centre and the one above to that level's
+  // pressure, so the running sum is the level above's stored value.
   const int lo = std::max(0, j0_ - 1);
   const int hi = std::min(cfg_.ny, j1_ + 1);
+  const double dz0 = vgrid_.dz(0);
   for (int j = lo; j < hi; ++j) {
-    for (const int i : xext_) {
-      const int lev = levels_(i, j);
-      double p = 0.0;
-      double rho_above = 0.0;
-      for (int k = 0; k < lev; ++k) {
-        const double rp = rho_(i, j, k) - cfg_.rho0;
-        if (k == 0) {
-          p = gravity * rp * 0.5 * vgrid_.dz(0);
-        } else {
-          p += gravity * 0.5 *
-               (rho_above * vgrid_.dz(k - 1) + rp * vgrid_.dz(k));
-        }
-        pbc_(i, j, k) = p;
-        rho_above = rp;
+    const int* lev = &levels_(0, j);
+    for (int k = 0; k < row_levels_[j]; ++k) {
+      const double* rho = &rho_(0, j, k);
+      double* p = &pbc_(0, j, k);
+      if (k == 0) {
+        for (const int i : xext_)
+          if (lev[i] > 0) p[i] = gravity * (rho[i] - cfg_.rho0) * 0.5 * dz0;
+        continue;
       }
+      const double* rho_above = &rho_(0, j, k - 1);
+      const double* p_above = &pbc_(0, j, k - 1);
+      const double dz_above = vgrid_.dz(k - 1);
+      const double dzk = vgrid_.dz(k);
+      for (const int i : xext_)
+        if (k < lev[i])
+          p[i] = p_above[i] +
+                 gravity * 0.5 *
+                     ((rho_above[i] - cfg_.rho0) * dz_above +
+                      (rho[i] - cfg_.rho0) * dzk);
     }
   }
 }
 
 void OceanModel::pressure_forces() {
   const int nx = cfg_.nx;
+  const int ny = cfg_.ny;
+  double* sx = acc(0);  // depth integrals of the row's forces
+  double* sy = acc(1);
   for (int j = j0_; j < j1_; ++j) {
     const double inv2dx = 1.0 / (2.0 * dx(j));
     const double inv2dy = 1.0 / (2.0 * dy(j));
-    for (int i = i0_; i < i1_; ++i) {
-      const int lev = levels_(i, j);
-      double sx = 0.0, sy = 0.0, h = 0.0;
-      for (int k = 0; k < lev; ++k) {
+    const bool has_n = j + 1 < ny;
+    const bool has_s = j - 1 >= 0;
+    const int* lev = &levels_(0, j);
+    const int* lev_n = has_n ? &levels_(0, j + 1) : nullptr;
+    const int* lev_s = has_s ? &levels_(0, j - 1) : nullptr;
+    std::fill(sx + i0_, sx + i1_, 0.0);
+    std::fill(sy + i0_, sy + i1_, 0.0);
+    for (int k = 0; k < row_levels_[j]; ++k) {
+      const double dzk = vgrid_.dz(k);
+      const double* p = &pbc_(0, j, k);
+      const double* p_n = has_n ? &pbc_(0, j + 1, k) : nullptr;
+      const double* p_s = has_s ? &pbc_(0, j - 1, k) : nullptr;
+      double* gx = &gx_(0, j, k);
+      double* gy = &gy_(0, j, k);
+      for (int i = i0_; i < i1_; ++i) {
+        if (k >= lev[i]) continue;
         double fx = 0.0, fy = 0.0;
         if (cfg_.enable_baroclinic_pg) {
           // Ghost-mirror closure at walls (a dry neighbour mirrors the
           // centre pressure): wall columns still feel pressure restoring,
           // at half the centred magnitude.
-          const double pc = pbc_(i, j, k);
-          const double pe =
-              wet((i + 1) % nx, j, k) ? pbc_.wrap_x(i + 1, j, k) : pc;
-          const double pw =
-              wet((i + nx - 1) % nx, j, k) ? pbc_.wrap_x(i - 1, j, k) : pc;
+          const int ie = x_east(i, nx);
+          const int iw = x_west(i, nx);
+          const double pc = p[i];
+          const double pe = k < lev[ie] ? p[ie] : pc;
+          const double pw = k < lev[iw] ? p[iw] : pc;
           fx = -(pe - pw) * inv2dx / cfg_.rho0;
-          const double pn =
-              (j + 1 < cfg_.ny && wet(i, j + 1, k)) ? pbc_(i, j + 1, k) : pc;
-          const double ps =
-              (j - 1 >= 0 && wet(i, j - 1, k)) ? pbc_(i, j - 1, k) : pc;
+          const double pn = (has_n && k < lev_n[i]) ? p_n[i] : pc;
+          const double ps = (has_s && k < lev_s[i]) ? p_s[i] : pc;
           fy = -(pn - ps) * inv2dy / cfg_.rho0;
         }
-        gx_(i, j, k) = fx;
-        gy_(i, j, k) = fy;
-        sx += fx * vgrid_.dz(k);
-        sy += fy * vgrid_.dz(k);
-        h += vgrid_.dz(k);
+        gx[i] = fx;
+        gy[i] = fy;
+        sx[i] += fx * dzk;
+        sy[i] += fy * dzk;
       }
-      fbar_x_(i, j) = h > 0.0 ? sx / h : 0.0;
-      fbar_y_(i, j) = h > 0.0 ? sy / h : 0.0;
+    }
+    // depth_ is the same running sum of wet layer thicknesses.
+    for (int i = i0_; i < i1_; ++i) {
+      const double h = depth_(i, j);
+      fbar_x_(i, j) = h > 0.0 ? sx[i] / h : 0.0;
+      fbar_y_(i, j) = h > 0.0 ? sy[i] / h : 0.0;
     }
   }
 }
 
-void OceanModel::implicit_vertical(Field3Dd& f, const Field3Dd& coeff,
-                                   double dt) {
-  std::vector<double> la(cfg_.nz), lb(cfg_.nz), lc(cfg_.nz), ld(cfg_.nz);
-  for (int j = j0_; j < j1_; ++j) {
+void OceanModel::vertical_diffusion_row(int j, const Field3Dd& coeff,
+                                        double dt) {
+  // Backward-Euler vertical diffusion of every owned column of row j with
+  // at least two wet levels; shallower columns are left alone.
+  const int nx = cfg_.nx;
+  const int* lev = &levels_(0, j);
+  for (int i = i0_; i < i1_; ++i) row_len_[i] = lev[i] >= 2 ? lev[i] : 0;
+  double* a = tile(kTileA);
+  double* b = tile(kTileB);
+  double* c = tile(kTileC);
+  for (int k = 0; k < row_levels_[j]; ++k) {
+    const double dzk = vgrid_.dz(k);
+    const double* kc = &coeff(0, j, k);
+    const double* kc_below = k + 1 < cfg_.nz ? &coeff(0, j, k + 1) : nullptr;
+    const double dz_up = k > 0 ? dzk * (0.5 * (vgrid_.dz(k - 1) + dzk)) : 0.0;
+    const double dz_dn =
+        k + 1 < cfg_.nz ? dzk * (0.5 * (dzk + vgrid_.dz(k + 1))) : 0.0;
+    const std::size_t o = static_cast<std::size_t>(k) * nx;
     for (int i = i0_; i < i1_; ++i) {
-      const int lev = levels_(i, j);
-      if (lev < 2) continue;
-      la.assign(lev, 0.0);
-      lb.assign(lev, 1.0);
-      lc.assign(lev, 0.0);
-      ld.assign(lev, 0.0);
-      for (int k = 0; k < lev; ++k) {
-        const double dzk = vgrid_.dz(k);
-        if (k > 0) {
-          const double dzi = 0.5 * (vgrid_.dz(k - 1) + vgrid_.dz(k));
-          const double r = dt * coeff(i, j, k) / (dzk * dzi);
-          la[k] = -r;
-          lb[k] += r;
-        }
-        if (k < lev - 1) {
-          const double dzi = 0.5 * (vgrid_.dz(k) + vgrid_.dz(k + 1));
-          const double r = dt * coeff(i, j, k + 1) / (dzk * dzi);
-          lc[k] = -r;
-          lb[k] += r;
-        }
-        ld[k] = f(i, j, k);
+      if (k >= row_len_[i]) continue;
+      double ak = 0.0, bk = 1.0, ck = 0.0;
+      if (k > 0) {
+        const double r = dt * kc[i] / dz_up;
+        ak = -r;
+        bk += r;
       }
-      numerics::solve_tridiag(la, lb, lc, ld);
-      for (int k = 0; k < lev; ++k) f(i, j, k) = ld[k];
+      if (k < row_len_[i] - 1) {
+        const double r = dt * kc_below[i] / dz_dn;
+        ck = -r;
+        bk += r;
+      }
+      a[o + i] = ak;
+      b[o + i] = bk;
+      c[o + i] = ck;
     }
   }
+}
+
+void OceanModel::solve_vertical_row(double* d) {
+  numerics::solve_tridiag(
+      std::span<const int>(row_len_.data() + i0_,
+                           static_cast<std::size_t>(i1_ - i0_)),
+      static_cast<std::size_t>(cfg_.nx), tile(kTileA) + i0_,
+      tile(kTileB) + i0_, tile(kTileC) + i0_, d + i0_, tile(kTileCp) + i0_);
 }
 
 void OceanModel::internal_momentum_step() {
@@ -500,37 +558,36 @@ void OceanModel::internal_momentum_step() {
   // Lateral friction (Laplacian, no-slip walls) and del^4 dissipation,
   // evaluated at the previous time level (lagged friction keeps leapfrog
   // stable). Divergence damping likewise.
-  Field2Dd lvl(nx, cfg_.ny, 0.0), lap1(nx, cfg_.ny, 0.0),
-      lap2(nx, cfg_.ny, 0.0), divf(nx, cfg_.ny, 0.0);
+  Field2Dd lap1(nx, cfg_.ny, 0.0), lap2(nx, cfg_.ny, 0.0),
+      divf(nx, cfg_.ny, 0.0);
   for (int pass = 0; pass < 2; ++pass) {
     const Field3Dd& vel_prev = (pass == 0) ? up_prev_ : vp_prev_;
     Field3Dd& tend = (pass == 0) ? gx_ : gy_;
     for (int k = 0; k < cfg_.nz; ++k) {
       const Field2D<int>& kmask = kmask_[static_cast<std::size_t>(k)];
-      const int lo = std::max(0, j0_ - 1);
-      const int hi = std::min(cfg_.ny, j1_ + 1);
-      for (int j = lo; j < hi; ++j)
-        for (const int i : xext_) lvl(i, j) = vel_prev(i, j, k);
       // No-slip Laplacian: a land neighbour contributes zero velocity so
       // boundary currents feel sidewall friction. Computed on the owned
       // box; the halo ring arrives by exchange below.
       for (int j = j0_; j < j1_; ++j) {
         const double ix2 = 1.0 / (dx(j) * dx(j));
         const double iy2 = 1.0 / (dy(j) * dy(j));
+        const int* m = &kmask(0, j);
+        const double* vel = &vel_prev(0, j, k);
         for (int i = i0_; i < i1_; ++i) {
-          if (kmask(i, j) == 0) {
+          if (m[i] == 0) {
             lap1(i, j) = 0.0;
             continue;
           }
-          const double c = lvl(i, j);
-          const double e =
-              kmask.wrap_x(i + 1, j) ? lvl.wrap_x(i + 1, j) : 0.0;
-          const double w2 =
-              kmask.wrap_x(i - 1, j) ? lvl.wrap_x(i - 1, j) : 0.0;
+          const int ie = x_east(i, nx);
+          const int iw = x_west(i, nx);
+          const double c = vel[i];
+          const double e = m[ie] ? vel[ie] : 0.0;
+          const double w2 = m[iw] ? vel[iw] : 0.0;
           const double n2 =
-              (j + 1 < cfg_.ny && kmask(i, j + 1)) ? lvl(i, j + 1) : 0.0;
+              (j + 1 < cfg_.ny && kmask(i, j + 1)) ? vel_prev(i, j + 1, k)
+                                                   : 0.0;
           const double s2 =
-              (j > 0 && kmask(i, j - 1)) ? lvl(i, j - 1) : 0.0;
+              (j > 0 && kmask(i, j - 1)) ? vel_prev(i, j - 1, k) : 0.0;
           lap1(i, j) =
               (e - 2.0 * c + w2) * ix2 + (n2 - 2.0 * c + s2) * iy2;
         }
@@ -565,8 +622,8 @@ void OceanModel::internal_momentum_step() {
             divf(i, j) = 0.0;
             continue;
           }
-          const int ie = (i + 1) % nx;
-          const int iw = (i + nx - 1) % nx;
+          const int ie = x_east(i, nx);
+          const int iw = x_west(i, nx);
           const double ue =
               wet(ie, j, k)
                   ? 0.5 * (up_prev_(i, j, k) + up_prev_(ie, j, k))
@@ -594,8 +651,8 @@ void OceanModel::internal_momentum_step() {
         const double cdd = std::min(cfg_.div_damp, cap);
         for (int i = i0_; i < i1_; ++i) {
           if (!wet(i, j, k)) continue;
-          const int ie = (i + 1) % nx;
-          const int iw = (i + nx - 1) % nx;
+          const int ie = x_east(i, nx);
+          const int iw = x_west(i, nx);
           const double de = wet(ie, j, k) ? divf(ie, j) : divf(i, j);
           const double dw = wet(iw, j, k) ? divf(iw, j) : divf(i, j);
           gx_(i, j, k) += cdd * (de - dw) * inv2dx;
@@ -611,102 +668,13 @@ void OceanModel::internal_momentum_step() {
     }
   }
 
-  // Leapfrog update: new = prev + 2dt * (PG deviation + Coriolis(n) +
-  // wind deviation + friction(prev)).
-  Field3Dd u_new(up_prev_);
-  Field3Dd v_new(vp_prev_);
-  for (int j = j0_; j < j1_; ++j) {
-    const double f = 2.0 * earth_omega * std::sin(grid_.lat(j));
-    for (int i = i0_; i < i1_; ++i) {
-      const int lev = levels_(i, j);
-      if (lev == 0) continue;
-      const double ice_scale =
-          1.0 - ice_(i, j) + ice_(i, j) / ice_stress_divisor;
-      const double ax = taux_(i, j) * ice_scale / cfg_.rho0;
-      const double ay = tauy_(i, j) * ice_scale / cfg_.rho0;
-      const double h = depth_(i, j);
-      for (int k = 0; k < lev; ++k) {
-        const double wind_x = (k == 0 ? ax / vgrid_.dz(0) : 0.0) - ax / h;
-        const double wind_y = (k == 0 ? ay / vgrid_.dz(0) : 0.0) - ay / h;
-        const double tx = gx_(i, j, k) - fbar_x_(i, j) + wind_x +
-                          f * vp_(i, j, k) -
-                          cfg_.rayleigh * up_prev_(i, j, k);
-        const double ty = gy_(i, j, k) - fbar_y_(i, j) + wind_y -
-                          f * up_(i, j, k) -
-                          cfg_.rayleigh * vp_prev_(i, j, k);
-        u_new(i, j, k) = up_prev_(i, j, k) + dt2 * tx;
-        v_new(i, j, k) = vp_prev_(i, j, k) + dt2 * ty;
-      }
-    }
-  }
-
-  // Implicit vertical viscosity on the new level.
-  if (cfg_.enable_vmix) {
-    implicit_vertical(u_new, nu_, dt2);
-    implicit_vertical(v_new, nu_, dt2);
-  }
-
-  // Wall-normal damping, deep/bottom drag and the hard safety clamp.
-  const double keep = cfg_.wall_normal_retain;
-  for (int j = j0_; j < j1_; ++j) {
-    for (int i = i0_; i < i1_; ++i) {
-      const int lev = levels_(i, j);
-      if (lev == 0) continue;
-      if (keep < 1.0) {
-        for (int k = 0; k < lev; ++k) {
-          if (!wet((i + 1) % nx, j, k) || !wet((i + nx - 1) % nx, j, k))
-            u_new(i, j, k) *= keep;
-          if (j + 1 >= cfg_.ny || j - 1 < 0 || !wet(i, j + 1, k) ||
-              !wet(i, j - 1, k))
-            v_new(i, j, k) *= keep;
-        }
-      }
-      // Frictional abyss: the two deepest layers of the *deviation* flow
-      // are strongly damped (bottom boundary layer + unresolved topographic
-      // form drag); cliff-trapped bottom modes otherwise survive every
-      // interior dissipation mechanism. The barotropic mode has its own
-      // bottom drag — coupling the two through this term would let a noisy
-      // ub manufacture deviation velocity.
-      for (int kb = std::max(0, lev - 2); kb < lev; ++kb) {
-        const double speed =
-            std::sqrt(u_new(i, j, kb) * u_new(i, j, kb) +
-                      v_new(i, j, kb) * v_new(i, j, kb));
-        const double fac =
-            1.0 / (1.0 + dt2 * (cfg_.deep_drag +
-                                2.5e-3 * speed / vgrid_.dz(kb)));
-        u_new(i, j, kb) *= fac;
-        v_new(i, j, kb) *= fac;
-      }
-      for (int k = 0; k < lev; ++k) {
-        u_new(i, j, k) =
-            std::clamp(u_new(i, j, k), -cfg_.max_baroclinic, cfg_.max_baroclinic);
-        v_new(i, j, k) =
-            std::clamp(v_new(i, j, k), -cfg_.max_baroclinic, cfg_.max_baroclinic);
-      }
-    }
-  }
-
-  // Robert-Asselin filter on the centre level, then rotate time levels.
-  const double eps = cfg_.asselin;
-  for (int j = j0_; j < j1_; ++j) {
-    for (int i = i0_; i < i1_; ++i) {
-      for (int k = 0; k < levels_(i, j); ++k) {
-        up_prev_(i, j, k) =
-            up_(i, j, k) +
-            eps * (u_new(i, j, k) - 2.0 * up_(i, j, k) + up_prev_(i, j, k));
-        vp_prev_(i, j, k) =
-            vp_(i, j, k) +
-            eps * (v_new(i, j, k) - 2.0 * vp_(i, j, k) + vp_prev_(i, j, k));
-        up_(i, j, k) = u_new(i, j, k);
-        vp_(i, j, k) = v_new(i, j, k);
-      }
-    }
-  }
+  // From here on every row is independent: the new level is built, solved,
+  // damped and filtered one row at a time in a tile.
+  for (int j = j0_; j < j1_; ++j) momentum_row(j, dt2);
   have_mom_prev_ = true;
 
-  enforce_zero_depth_mean();
-  // enforce_zero_depth_mean modified ub_/vb_ on owned rows only; refresh
-  // their halos before the barotropic subcycle's stencils read them.
+  // momentum_row modified ub_/vb_ on owned rows only; refresh their halos
+  // before the barotropic subcycle's stencils read them.
   exchange_halo(ub_);
   exchange_halo(vb_);
   apply_polar_filter_3d(up_);
@@ -724,36 +692,167 @@ void OceanModel::internal_momentum_step() {
   work_points_ += 4.0 * wet_cells;
 }
 
-void OceanModel::enforce_zero_depth_mean() {
+void OceanModel::momentum_row(int j, double dt2) {
+  const int nx = cfg_.nx;
+  const int ny = cfg_.ny;
+  const int* lev = &levels_(0, j);
+  const int* lev_n = j + 1 < ny ? &levels_(0, j + 1) : nullptr;
+  const int* lev_s = j - 1 >= 0 ? &levels_(0, j - 1) : nullptr;
+  double* un = tile(kTileU);
+  double* vn = tile(kTileV);
+
+  // Leapfrog update: new = prev + 2dt * (PG deviation + Coriolis(n) +
+  // wind deviation + friction(prev)). The wind enters the surface layer
+  // and leaves as a depth mean; both terms are per column.
+  const double f = 2.0 * earth_omega * std::sin(grid_.lat(j));
+  const double dz0 = vgrid_.dz(0);
+  double* wind_x0 = acc(0);  // surface-layer wind deviation
+  double* wind_y0 = acc(1);
+  double* wind_xk = acc(2);  // deviation below the surface layer
+  double* wind_yk = acc(3);
+  for (int i = i0_; i < i1_; ++i) {
+    if (lev[i] == 0) continue;
+    const double ice_scale =
+        1.0 - ice_(i, j) + ice_(i, j) / ice_stress_divisor;
+    const double ax = taux_(i, j) * ice_scale / cfg_.rho0;
+    const double ay = tauy_(i, j) * ice_scale / cfg_.rho0;
+    const double h = depth_(i, j);
+    wind_x0[i] = ax / dz0 - ax / h;
+    wind_y0[i] = ay / dz0 - ay / h;
+    wind_xk[i] = 0.0 - ax / h;  // not -(ax / h): that flips a zero's sign
+    wind_yk[i] = 0.0 - ay / h;
+  }
+  const double* fbx = &fbar_x_(0, j);
+  const double* fby = &fbar_y_(0, j);
+  for (int k = 0; k < row_levels_[j]; ++k) {
+    const double* wind_x = k == 0 ? wind_x0 : wind_xk;
+    const double* wind_y = k == 0 ? wind_y0 : wind_yk;
+    const double* gx = &gx_(0, j, k);
+    const double* gy = &gy_(0, j, k);
+    const double* u = &up_(0, j, k);
+    const double* v = &vp_(0, j, k);
+    const double* u_prev = &up_prev_(0, j, k);
+    const double* v_prev = &vp_prev_(0, j, k);
+    double* u_new = un + static_cast<std::size_t>(k) * nx;
+    double* v_new = vn + static_cast<std::size_t>(k) * nx;
+    for (int i = i0_; i < i1_; ++i) {
+      if (k >= lev[i]) continue;
+      const double tx = gx[i] - fbx[i] + wind_x[i] + f * v[i] -
+                        cfg_.rayleigh * u_prev[i];
+      const double ty = gy[i] - fby[i] + wind_y[i] - f * u[i] -
+                        cfg_.rayleigh * v_prev[i];
+      u_new[i] = u_prev[i] + dt2 * tx;
+      v_new[i] = v_prev[i] + dt2 * ty;
+    }
+  }
+
+  // Implicit vertical viscosity on the new level.
+  if (cfg_.enable_vmix) {
+    vertical_diffusion_row(j, nu_, dt2);
+    solve_vertical_row(un);
+    solve_vertical_row(vn);
+  }
+
+  // Wall-normal damping, deep/bottom drag and the hard safety clamp, then
+  // the Robert-Asselin filter on the centre level and the rotation of time
+  // levels. Frictional abyss: the two deepest layers of the *deviation*
+  // flow are strongly damped (bottom boundary layer + unresolved
+  // topographic form drag); cliff-trapped bottom modes otherwise survive
+  // every interior dissipation mechanism. The barotropic mode has its own
+  // bottom drag — coupling the two through this term would let a noisy ub
+  // manufacture deviation velocity.
+  const double keep = cfg_.wall_normal_retain;
+  const double eps = cfg_.asselin;
+  for (int k = 0; k < row_levels_[j]; ++k) {
+    double* u = &up_(0, j, k);
+    double* v = &vp_(0, j, k);
+    double* u_prev = &up_prev_(0, j, k);
+    double* v_prev = &vp_prev_(0, j, k);
+    double* u_new = un + static_cast<std::size_t>(k) * nx;
+    double* v_new = vn + static_cast<std::size_t>(k) * nx;
+    const double drag_dz = vgrid_.dz(k);
+    for (int i = i0_; i < i1_; ++i) {
+      if (k >= lev[i]) continue;
+      double un_i = u_new[i];
+      double vn_i = v_new[i];
+      if (keep < 1.0) {
+        if (k >= lev[x_east(i, nx)] || k >= lev[x_west(i, nx)]) un_i *= keep;
+        if (lev_n == nullptr || lev_s == nullptr || k >= lev_n[i] ||
+            k >= lev_s[i])
+          vn_i *= keep;
+      }
+      if (k >= lev[i] - 2) {
+        const double speed = std::sqrt(un_i * un_i + vn_i * vn_i);
+        const double fac =
+            1.0 / (1.0 + dt2 * (cfg_.deep_drag + 2.5e-3 * speed / drag_dz));
+        un_i *= fac;
+        vn_i *= fac;
+      }
+      un_i = std::clamp(un_i, -cfg_.max_baroclinic, cfg_.max_baroclinic);
+      vn_i = std::clamp(vn_i, -cfg_.max_baroclinic, cfg_.max_baroclinic);
+      u_prev[i] = u[i] + eps * (un_i - 2.0 * u[i] + u_prev[i]);
+      v_prev[i] = v[i] + eps * (vn_i - 2.0 * v[i] + v_prev[i]);
+      u[i] = un_i;
+      v[i] = vn_i;
+    }
+  }
+  remove_depth_mean_row(j);
+}
+
+void OceanModel::remove_depth_mean_row(int j) {
   // Fold the depth-mean of the *current* deviation velocities into the
   // barotropic mode so the split stays exact. The previous time level must
   // be de-meaned as well (without a second transfer): a mean left in
   // up_prev_ would be re-injected by the next leapfrog update and pump ub
   // without bound.
-  for (int j = j0_; j < j1_; ++j) {
+  const int* lev = &levels_(0, j);
+  double* mu = acc(0);  // depth integrals, then depth means
+  double* mv = acc(1);
+  double* mpu = acc(2);
+  double* mpv = acc(3);
+  std::fill(mu + i0_, mu + i1_, 0.0);
+  std::fill(mv + i0_, mv + i1_, 0.0);
+  std::fill(mpu + i0_, mpu + i1_, 0.0);
+  std::fill(mpv + i0_, mpv + i1_, 0.0);
+  for (int k = 0; k < row_levels_[j]; ++k) {
+    const double dzk = vgrid_.dz(k);
+    const double* u = &up_(0, j, k);
+    const double* v = &vp_(0, j, k);
+    const double* u_prev = &up_prev_(0, j, k);
+    const double* v_prev = &vp_prev_(0, j, k);
     for (int i = i0_; i < i1_; ++i) {
-      const int lev = levels_(i, j);
-      if (lev == 0) continue;
-      double su = 0.0, sv = 0.0, spu = 0.0, spv = 0.0;
-      for (int k = 0; k < lev; ++k) {
-        su += up_(i, j, k) * vgrid_.dz(k);
-        sv += vp_(i, j, k) * vgrid_.dz(k);
-        spu += up_prev_(i, j, k) * vgrid_.dz(k);
-        spv += vp_prev_(i, j, k) * vgrid_.dz(k);
-      }
-      const double mu = su / depth_(i, j);
-      const double mv = sv / depth_(i, j);
-      const double mpu = spu / depth_(i, j);
-      const double mpv = spv / depth_(i, j);
-      for (int k = 0; k < lev; ++k) {
-        up_(i, j, k) -= mu;
-        vp_(i, j, k) -= mv;
-        up_prev_(i, j, k) -= mpu;
-        vp_prev_(i, j, k) -= mpv;
-      }
-      ub_(i, j) += mu;
-      vb_(i, j) += mv;
+      if (k >= lev[i]) continue;
+      mu[i] += u[i] * dzk;
+      mv[i] += v[i] * dzk;
+      mpu[i] += u_prev[i] * dzk;
+      mpv[i] += v_prev[i] * dzk;
     }
+  }
+  for (int i = i0_; i < i1_; ++i) {
+    if (lev[i] == 0) continue;
+    const double h = depth_(i, j);
+    mu[i] = mu[i] / h;
+    mv[i] = mv[i] / h;
+    mpu[i] = mpu[i] / h;
+    mpv[i] = mpv[i] / h;
+  }
+  for (int k = 0; k < row_levels_[j]; ++k) {
+    double* u = &up_(0, j, k);
+    double* v = &vp_(0, j, k);
+    double* u_prev = &up_prev_(0, j, k);
+    double* v_prev = &vp_prev_(0, j, k);
+    for (int i = i0_; i < i1_; ++i) {
+      if (k >= lev[i]) continue;
+      u[i] -= mu[i];
+      v[i] -= mv[i];
+      u_prev[i] -= mpu[i];
+      v_prev[i] -= mpv[i];
+    }
+  }
+  for (int i = i0_; i < i1_; ++i) {
+    if (lev[i] == 0) continue;
+    ub_(i, j) += mu[i];
+    vb_(i, j) += mv[i];
   }
 }
 
@@ -903,212 +1002,269 @@ void OceanModel::vertical_mixing_coefficients() {
   // steeper exponent of Peters, Gregg & Toole that improved the model's
   // west-equatorial-Pacific cold bias (paper §4.2).
   for (int j = j0_; j < j1_; ++j) {
-    for (int i = i0_; i < i1_; ++i) {
-      const int lev = levels_(i, j);
-      for (int k = 1; k < lev; ++k) {
-        const double dzi = 0.5 * (vgrid_.dz(k - 1) + vgrid_.dz(k));
-        const double du = up_(i, j, k - 1) - up_(i, j, k);
-        const double dv = vp_(i, j, k - 1) - vp_(i, j, k);
+    const int* lev = &levels_(0, j);
+    for (int k = 1; k < row_levels_[j]; ++k) {
+      const double dzi = 0.5 * (vgrid_.dz(k - 1) + vgrid_.dz(k));
+      const double* u_above = &up_(0, j, k - 1);
+      const double* u = &up_(0, j, k);
+      const double* v_above = &vp_(0, j, k - 1);
+      const double* v = &vp_(0, j, k);
+      const double* rho_above = &rho_(0, j, k - 1);
+      const double* rho = &rho_(0, j, k);
+      double* nu = &nu_(0, j, k);
+      double* kappa = &kappa_(0, j, k);
+      for (int i = i0_; i < i1_; ++i) {
+        if (k >= lev[i]) continue;
+        const double du = u_above[i] - u[i];
+        const double dv = v_above[i] - v[i];
         const double shear2 = (du * du + dv * dv) / (dzi * dzi) + 1.0e-10;
-        const double n2 = -gravity * (rho_(i, j, k - 1) - rho_(i, j, k)) /
-                          (cfg_.rho0 * dzi);
+        const double n2 =
+            -gravity * (rho_above[i] - rho[i]) / (cfg_.rho0 * dzi);
         const double ri = std::max(0.0, n2 / shear2);
         const double denom = std::pow(1.0 + 5.0 * ri, cfg_.ri_exponent);
-        nu_(i, j, k) = cfg_.nu0 / denom + cfg_.nu_b;
-        kappa_(i, j, k) =
-            (cfg_.nu0 / denom) / (1.0 + 5.0 * ri) + cfg_.kappa_b;
+        nu[i] = cfg_.nu0 / denom + cfg_.nu_b;
+        kappa[i] = (cfg_.nu0 / denom) / (1.0 + 5.0 * ri) + cfg_.kappa_b;
       }
     }
   }
 }
 
-void OceanModel::convective_adjustment() {
-  if (!cfg_.enable_convect) return;
-  // Full-column pairwise mixing sweep on both leapfrog time levels:
-  // statically unstable neighbours are homogenized (volume-weighted),
-  // repeated until stable.
-  for (int lvl = 0; lvl < 2; ++lvl) {
-    Field3Dd& tt = (lvl == 0) ? t_ : t_prev_;
-    Field3Dd& ss = (lvl == 0) ? s_ : s_prev_;
-    for (int j = j0_; j < j1_; ++j) {
-      for (int i = i0_; i < i1_; ++i) {
-        const int lev = levels_(i, j);
-        if (lev < 2) continue;
-        for (int pass = 0; pass < lev; ++pass) {
-          bool mixed = false;
-          for (int k = 0; k < lev - 1; ++k) {
-            const double r_up =
-                -cfg_.alpha_t * tt(i, j, k) + cfg_.beta_s * ss(i, j, k);
-            const double r_dn = -cfg_.alpha_t * tt(i, j, k + 1) +
-                                cfg_.beta_s * ss(i, j, k + 1);
-            if (r_up > r_dn + 1e-12) {  // denser above lighter: mix
-              const double w1 = vgrid_.dz(k);
-              const double w2 = vgrid_.dz(k + 1);
-              const double tm =
-                  (tt(i, j, k) * w1 + tt(i, j, k + 1) * w2) / (w1 + w2);
-              const double sm =
-                  (ss(i, j, k) * w1 + ss(i, j, k + 1) * w2) / (w1 + w2);
-              tt(i, j, k) = tm;
-              tt(i, j, k + 1) = tm;
-              ss(i, j, k) = sm;
-              ss(i, j, k + 1) = sm;
-              mixed = true;
-            }
-          }
-          if (!mixed) break;
-        }
+void OceanModel::convective_adjustment(double* t, double* s, int i,
+                                       int lev) const {
+  // Full-column pairwise mixing sweep: statically unstable neighbours are
+  // homogenized (volume-weighted), repeated until stable. t and s are a
+  // row tile's column i (level k at k * nx + i).
+  const std::size_t nx = static_cast<std::size_t>(cfg_.nx);
+  for (int pass = 0; pass < lev; ++pass) {
+    bool mixed = false;
+    for (int k = 0; k < lev - 1; ++k) {
+      double& t_up = t[k * nx + i];
+      double& t_dn = t[(k + 1) * nx + i];
+      double& s_up = s[k * nx + i];
+      double& s_dn = s[(k + 1) * nx + i];
+      const double r_up = -cfg_.alpha_t * t_up + cfg_.beta_s * s_up;
+      const double r_dn = -cfg_.alpha_t * t_dn + cfg_.beta_s * s_dn;
+      if (r_up > r_dn + 1e-12) {  // denser above lighter: mix
+        const double w1 = vgrid_.dz(k);
+        const double w2 = vgrid_.dz(k + 1);
+        const double tm = (t_up * w1 + t_dn * w2) / (w1 + w2);
+        const double sm = (s_up * w1 + s_dn * w2) / (w1 + w2);
+        t_up = tm;
+        t_dn = tm;
+        s_up = sm;
+        s_dn = sm;
+        mixed = true;
       }
     }
+    if (!mixed) break;
   }
 }
 
-void OceanModel::diagnose_w() {
+void OceanModel::diagnose_w_row(int j) {
+  // Integrated from the bottom up, so the level loop runs downward and a
+  // column joins the sum at its deepest wet level.
   const int nx = cfg_.nx;
-  for (int j = j0_; j < j1_; ++j) {
-    const double invdx = 1.0 / dx(j);
-    const double invdy = 1.0 / dy(j);
+  const int ny = cfg_.ny;
+  const double invdx = 1.0 / dx(j);
+  const double invdy = 1.0 / dy(j);
+  const bool has_n = j + 1 < ny;
+  const bool has_s = j - 1 >= 0;
+  const int* lev = &levels_(0, j);
+  const int* lev_n = has_n ? &levels_(0, j + 1) : nullptr;
+  const int* lev_s = has_s ? &levels_(0, j - 1) : nullptr;
+  double* w = acc(0);
+  double* wtop = tile(kTileW);
+  std::fill(w + i0_, w + i1_, 0.0);
+  for (int k = row_levels_[j] - 1; k >= 0; --k) {
+    const double dzk = vgrid_.dz(k);
+    const double* u = &up_(0, j, k);
+    const double* v = &vp_(0, j, k);
+    const double* v_n = has_n ? &vp_(0, j + 1, k) : nullptr;
+    const double* v_s = has_s ? &vp_(0, j - 1, k) : nullptr;
+    double* wk = wtop + static_cast<std::size_t>(k) * nx;
     for (int i = i0_; i < i1_; ++i) {
-      const int lev = levels_(i, j);
-      double w = 0.0;
-      for (int k = lev - 1; k >= 0; --k) {
-        // From the baroclinic deviation velocities: their depth integral
-        // vanishes, so w closes at the surface; the barotropic divergence
-        // belongs to the (slowed) free surface, not interior upwelling.
-        const int ie = (i + 1) % nx;
-        const int iw = (i + nx - 1) % nx;
-        const double ue =
-            wet(ie, j, k) ? 0.5 * (up_(i, j, k) + up_(ie, j, k)) : 0.0;
-        const double uw =
-            wet(iw, j, k) ? 0.5 * (up_(iw, j, k) + up_(i, j, k)) : 0.0;
-        const double vn = (j + 1 < cfg_.ny && wet(i, j + 1, k))
-                              ? 0.5 * (vp_(i, j, k) + vp_(i, j + 1, k))
+      if (k >= lev[i]) continue;
+      // From the baroclinic deviation velocities: their depth integral
+      // vanishes, so w closes at the surface; the barotropic divergence
+      // belongs to the (slowed) free surface, not interior upwelling.
+      const int ie = x_east(i, nx);
+      const int iw = x_west(i, nx);
+      const double ue = k < lev[ie] ? 0.5 * (u[i] + u[ie]) : 0.0;
+      const double uw = k < lev[iw] ? 0.5 * (u[iw] + u[i]) : 0.0;
+      const double vn = (has_n && k < lev_n[i]) ? 0.5 * (v[i] + v_n[i]) : 0.0;
+      const double vs = (has_s && k < lev_s[i]) ? 0.5 * (v_s[i] + v[i]) : 0.0;
+      const double div = (ue - uw) * invdx + (vn - vs) * invdy;
+      w[i] += div * dzk;
+      wk[i] = std::clamp(w[i], -cfg_.w_clamp, cfg_.w_clamp);
+    }
+  }
+}
+
+void OceanModel::advect_tracer_row(int j, double dtt, double* t_new,
+                                   double* s_new) {
+  // Forward-in-time, upwind-in-space transport: monotone, so tracer values
+  // stay within physical bounds even where the masked/clamped velocity
+  // field is discretely divergent (cliff columns). Diffusion is explicit
+  // forward Laplacian. T and S share every face velocity; each keeps its
+  // own tendency, accumulated in the same order.
+  diagnose_w_row(j);
+  const int nx = cfg_.nx;
+  const int ny = cfg_.ny;
+  const double invdx = 1.0 / dx(j);
+  const double invdy = 1.0 / dy(j);
+  const bool has_n = j + 1 < ny;
+  const bool has_s = j - 1 >= 0;
+  const int* lev = &levels_(0, j);
+  const int* lev_n = has_n ? &levels_(0, j + 1) : nullptr;
+  const int* lev_s = has_s ? &levels_(0, j - 1) : nullptr;
+  const double* ub = &ub_(0, j);
+  const double* vb = &vb_(0, j);
+  const double* vb_n = has_n ? &vb_(0, j + 1) : nullptr;
+  const double* vb_s = has_s ? &vb_(0, j - 1) : nullptr;
+  const double heat_capacity = cfg_.rho0 * cp_sea_water * vgrid_.dz(0);
+  const double dz0 = vgrid_.dz(0);
+  const double* wtop = tile(kTileW);
+  for (int k = 0; k < row_levels_[j]; ++k) {
+    const double dzk = vgrid_.dz(k);
+    const std::size_t o = static_cast<std::size_t>(k) * nx;
+    const double* u = &up_(0, j, k);
+    const double* v = &vp_(0, j, k);
+    const double* v_n = has_n ? &vp_(0, j + 1, k) : nullptr;
+    const double* v_s = has_s ? &vp_(0, j - 1, k) : nullptr;
+    const double* t = &t_(0, j, k);
+    const double* s = &s_(0, j, k);
+    const double* t_n = has_n ? &t_(0, j + 1, k) : nullptr;
+    const double* s_n = has_n ? &s_(0, j + 1, k) : nullptr;
+    const double* t_s = has_s ? &t_(0, j - 1, k) : nullptr;
+    const double* s_s = has_s ? &s_(0, j - 1, k) : nullptr;
+    const double* t_up = k > 0 ? &t_(0, j, k - 1) : nullptr;
+    const double* s_up = k > 0 ? &s_(0, j, k - 1) : nullptr;
+    const double* t_dn = k + 1 < cfg_.nz ? &t_(0, j, k + 1) : nullptr;
+    const double* s_dn = k + 1 < cfg_.nz ? &s_(0, j, k + 1) : nullptr;
+    const double* w_top = wtop + o;
+    const double* w_bot = wtop + o + nx;  // read only above the bottom
+    for (int i = i0_; i < i1_; ++i) {
+      if (k >= lev[i]) continue;
+      const int ie = x_east(i, nx);
+      const int iw = x_west(i, nx);
+      const bool wet_e = k < lev[ie];
+      const bool wet_w = k < lev[iw];
+      const bool wet_n = has_n && k < lev_n[i];
+      const bool wet_s = has_s && k < lev_s[i];
+      // Face velocities (used only where the face is wet).
+      const double ue = 0.5 * ((u[i] + ub[i]) + (u[ie] + ub[ie]));
+      const double uw = 0.5 * ((u[iw] + ub[iw]) + (u[i] + ub[i]));
+      const double vn = wet_n ? 0.5 * ((v[i] + vb[i]) + (v_n[i] + vb_n[i]))
                               : 0.0;
-        const double vs = (j - 1 >= 0 && wet(i, j - 1, k))
-                              ? 0.5 * (vp_(i, j - 1, k) + vp_(i, j, k))
+      const double vs = wet_s ? 0.5 * ((v_s[i] + vb_s[i]) + (v[i] + vb[i]))
                               : 0.0;
-        const double div = (ue - uw) * invdx + (vn - vs) * invdy;
-        w += div * vgrid_.dz(k);
-        wtop_(i, j, k) = std::clamp(w, -cfg_.w_clamp, cfg_.w_clamp);
-      }
+      // The new value of tracer q (rows q_n/q_s north/south, q_up/q_dn the
+      // levels above/below) given its surface-layer forcing tendency.
+      auto step = [&](const double* q, const double* q_n, const double* q_s,
+                      const double* q_up, const double* q_dn,
+                      double surface) {
+        double tend = 0.0;
+        if (cfg_.enable_horiz_adv) {
+          if (wet_e) tend -= ue * (ue > 0.0 ? q[i] : q[ie]) * invdx;
+          if (wet_w) tend += uw * (uw > 0.0 ? q[iw] : q[i]) * invdx;
+          if (wet_n) tend -= vn * (vn > 0.0 ? q[i] : q_n[i]) * invdy;
+          if (wet_s) tend += vs * (vs > 0.0 ? q_s[i] : q[i]) * invdy;
+        }
+        if (cfg_.enable_vert_adv) {
+          if (k > 0) {
+            const double w = w_top[i];
+            tend -= w * (w > 0.0 ? q[i] : q_up[i]) / dzk;
+          }
+          if (k + 1 < lev[i]) {
+            const double w = w_bot[i];
+            tend += w * (w > 0.0 ? q_dn[i] : q[i]) / dzk;
+          }
+        }
+        if (k == 0) tend += surface;
+        // Laplacian diffusion (no-flux at land).
+        const double qc = q[i];
+        const double qe = wet_e ? q[ie] : qc;
+        const double qw = wet_w ? q[iw] : qc;
+        const double qn = wet_n ? q_n[i] : qc;
+        const double qs = wet_s ? q_s[i] : qc;
+        tend += cfg_.kappa_h * ((qe - 2.0 * qc + qw) * invdx * invdx +
+                                (qn - 2.0 * qc + qs) * invdy * invdy);
+        return qc + dtt * tend;
+      };
+      // Surface forcing: heat flux warms, freshwater dilutes (x - y and
+      // x + -y round identically).
+      const double heat = k == 0 ? qnet_(i, j) / heat_capacity : 0.0;
+      const double fresh = k == 0 ? -(fw_(i, j) * cfg_.s_ref / dz0) : 0.0;
+      t_new[o + i] = step(t, t_n, t_s, t_up, t_dn, heat);
+      s_new[o + i] = step(s, s_n, s_s, s_up, s_dn, fresh);
+    }
+  }
+}
+
+void OceanModel::finish_tracer_row(int j, double dtt, double* t_new,
+                                   double* s_new) {
+  const int nx = cfg_.nx;
+  const int* lev = &levels_(0, j);
+  // Implicit vertical diffusion of the new level.
+  if (cfg_.enable_vmix) {
+    vertical_diffusion_row(j, kappa_, dtt);
+    solve_vertical_row(t_new);
+    solve_vertical_row(s_new);
+  }
+  // Sea-ice freeze clamp (paper: clamp at -1.92 C); the deficit becomes
+  // frazil-ice heat the coupler turns into ice growth.
+  const double dz0 = vgrid_.dz(0);
+  for (int i = i0_; i < i1_; ++i) {
+    if (lev[i] == 0) continue;
+    if (t_new[i] < sea_ice_freeze_c) {
+      const double deficit =
+          (sea_ice_freeze_c - t_new[i]) * cfg_.rho0 * cp_sea_water * dz0;
+      frazil_heat_ += deficit;
+      frazil_cell_(i, j) += deficit;
+      t_new[i] = sea_ice_freeze_c;
+    }
+  }
+  if (cfg_.enable_convect)
+    for (int i = i0_; i < i1_; ++i)
+      if (lev[i] >= 2) convective_adjustment(t_new, s_new, i, lev[i]);
+  for (int k = 0; k < row_levels_[j]; ++k) {
+    const std::size_t o = static_cast<std::size_t>(k) * nx;
+    double* t = &t_(0, j, k);
+    double* s = &s_(0, j, k);
+    for (int i = i0_; i < i1_; ++i) {
+      if (k >= lev[i]) continue;
+      t[i] = t_new[o + i];
+      s[i] = s_new[o + i];
     }
   }
 }
 
 void OceanModel::tracer_step() {
   const double dtt = cfg_.dt_mom * cfg_.tracer_every;
-  const int nx = cfg_.nx;
 
   vertical_mixing_coefficients();
-  diagnose_w();
 
-  // Forward-in-time, upwind-in-space transport: monotone, so tracer values
-  // stay within physical bounds even where the masked/clamped velocity
-  // field is discretely divergent (cliff columns). Diffusion is explicit
-  // forward Laplacian.
-  for (int pass = 0; pass < 2; ++pass) {
-    Field3Dd& q = (pass == 0) ? t_ : s_;
-    Field3Dd q_new(q);
-    for (int j = j0_; j < j1_; ++j) {
-      const double invdx = 1.0 / dx(j);
-      const double invdy = 1.0 / dy(j);
-      for (int i = i0_; i < i1_; ++i) {
-        const int lev = levels_(i, j);
-        for (int k = 0; k < lev; ++k) {
-          const int ie = (i + 1) % nx;
-          const int iw = (i + nx - 1) % nx;
-          double tend = 0.0;
-          if (cfg_.enable_horiz_adv) {
-            if (wet(ie, j, k)) {
-              const double uf = 0.5 * (u_total(i, j, k) + u_total(ie, j, k));
-              tend -= uf * (uf > 0.0 ? q(i, j, k) : q(ie, j, k)) * invdx;
-            }
-            if (wet(iw, j, k)) {
-              const double uf = 0.5 * (u_total(iw, j, k) + u_total(i, j, k));
-              tend += uf * (uf > 0.0 ? q(iw, j, k) : q(i, j, k)) * invdx;
-            }
-            if (j + 1 < cfg_.ny && wet(i, j + 1, k)) {
-              const double vf =
-                  0.5 * (v_total(i, j, k) + v_total(i, j + 1, k));
-              tend -= vf * (vf > 0.0 ? q(i, j, k) : q(i, j + 1, k)) * invdy;
-            }
-            if (j - 1 >= 0 && wet(i, j - 1, k)) {
-              const double vf =
-                  0.5 * (v_total(i, j - 1, k) + v_total(i, j, k));
-              tend += vf * (vf > 0.0 ? q(i, j - 1, k) : q(i, j, k)) * invdy;
-            }
-          }
-          if (cfg_.enable_vert_adv) {
-            const double dzk = vgrid_.dz(k);
-            if (k > 0) {
-              const double w = wtop_(i, j, k);
-              tend -= w * (w > 0.0 ? q(i, j, k) : q(i, j, k - 1)) / dzk;
-            }
-            if (k + 1 < lev) {
-              const double w = wtop_(i, j, k + 1);
-              tend += w * (w > 0.0 ? q(i, j, k + 1) : q(i, j, k)) / dzk;
-            }
-          }
-          // Surface forcing in the tendency.
-          if (k == 0 && pass == 0)
-            tend +=
-                qnet_(i, j) / (cfg_.rho0 * cp_sea_water * vgrid_.dz(0));
-          if (k == 0 && pass == 1)
-            tend -= fw_(i, j) * cfg_.s_ref / vgrid_.dz(0);
-          // Laplacian diffusion (no-flux at land).
-          const double qc = q(i, j, k);
-          const double qe = wet(ie, j, k) ? q(ie, j, k) : qc;
-          const double qw = wet(iw, j, k) ? q(iw, j, k) : qc;
-          const double qn2 = (j + 1 < cfg_.ny && wet(i, j + 1, k))
-                                 ? q(i, j + 1, k)
-                                 : qc;
-          const double qs =
-              (j - 1 >= 0 && wet(i, j - 1, k)) ? q(i, j - 1, k) : qc;
-          tend += cfg_.kappa_h * ((qe - 2.0 * qc + qw) * invdx * invdx +
-                                  (qn2 - 2.0 * qc + qs) * invdy * invdy);
-          q_new(i, j, k) = q(i, j, k) + dtt * tend;
-        }
-      }
-    }
-    q = std::move(q_new);
-  }
-  // Keep the (unused) previous tracer level coherent for diagnostics.
-  t_prev_ = t_;
-  s_prev_ = s_;
-  have_tracer_prev_ = true;
-
-  // Implicit vertical diffusion of the new level.
-  if (cfg_.enable_vmix) {
-    implicit_vertical(t_, kappa_, dtt);
-    implicit_vertical(s_, kappa_, dtt);
-  }
-
-  // Sea-ice freeze clamp on both time levels (paper: clamp at -1.92 C);
-  // the deficit becomes frazil-ice heat the coupler turns into ice growth.
-  const double dz0 = vgrid_.dz(0);
+  // Row j's advection still reads the old row j - 1, so each new row waits
+  // in its tile and is finished (vertical solve, freeze clamp, convection)
+  // and written back one row late.
+  double* t_new[2] = {tile(kTileT0), tile(kTileT1)};
+  double* s_new[2] = {tile(kTileS0), tile(kTileS1)};
   for (int j = j0_; j < j1_; ++j) {
-    for (int i = i0_; i < i1_; ++i) {
-      if (mask2d_(i, j) == 0) continue;
-      if (t_(i, j, 0) < sea_ice_freeze_c) {
-        const double deficit = (sea_ice_freeze_c - t_(i, j, 0)) * cfg_.rho0 *
-                               cp_sea_water * dz0;
-        frazil_heat_ += deficit;
-        frazil_cell_(i, j) += deficit;
-        t_(i, j, 0) = sea_ice_freeze_c;
-      }
-    }
+    const int cur = (j - j0_) & 1;
+    advect_tracer_row(j, dtt, t_new[cur], s_new[cur]);
+    if (j > j0_) finish_tracer_row(j - 1, dtt, t_new[cur ^ 1], s_new[cur ^ 1]);
+  }
+  if (j1_ > j0_) {
+    const int last = (j1_ - 1 - j0_) & 1;
+    finish_tracer_row(j1_ - 1, dtt, t_new[last], s_new[last]);
   }
 
-  convective_adjustment();
   if (cfg_.enable_ts_filter) {
     apply_polar_filter_3d(t_);
     apply_polar_filter_3d(s_);
-    apply_polar_filter_3d(t_prev_);
-    apply_polar_filter_3d(s_prev_);
   }
   exchange_halo(t_);
   exchange_halo(s_);
-  exchange_halo(t_prev_);
-  exchange_halo(s_prev_);
 
   double wet_cells = 0.0;
   for (int j = j0_; j < j1_; ++j)
@@ -1331,8 +1487,6 @@ void OceanModel::save_state(HistoryWriter& out,
                             const std::string& prefix) const {
   out.write(prefix + ".t", t_);
   out.write(prefix + ".s", s_);
-  out.write(prefix + ".t_prev", t_prev_);
-  out.write(prefix + ".s_prev", s_prev_);
   out.write(prefix + ".up", up_);
   out.write(prefix + ".vp", vp_);
   out.write(prefix + ".up_prev", up_prev_);
@@ -1347,8 +1501,6 @@ void OceanModel::save_state(HistoryWriter& out,
   out.write(prefix + ".kappa", kappa_);
   out.write_scalar(prefix + ".steps", static_cast<double>(steps_));
   out.write_scalar(prefix + ".have_mom_prev", have_mom_prev_ ? 1.0 : 0.0);
-  out.write_scalar(prefix + ".have_tracer_prev",
-                   have_tracer_prev_ ? 1.0 : 0.0);
   out.write_scalar(prefix + ".frazil_heat", frazil_heat_);
 }
 
@@ -1356,8 +1508,6 @@ void OceanModel::load_state(const HistoryReader& in,
                             const std::string& prefix) {
   copy_into(in.find(prefix + ".t"), t_);
   copy_into(in.find(prefix + ".s"), s_);
-  copy_into(in.find(prefix + ".t_prev"), t_prev_);
-  copy_into(in.find(prefix + ".s_prev"), s_prev_);
   copy_into(in.find(prefix + ".up"), up_);
   copy_into(in.find(prefix + ".vp"), vp_);
   copy_into(in.find(prefix + ".up_prev"), up_prev_);
@@ -1371,8 +1521,6 @@ void OceanModel::load_state(const HistoryReader& in,
   steps_ =
       static_cast<std::int64_t>(in.find(prefix + ".steps").data[0]);
   have_mom_prev_ = in.find(prefix + ".have_mom_prev").data[0] != 0.0;
-  have_tracer_prev_ =
-      in.find(prefix + ".have_tracer_prev").data[0] != 0.0;
   frazil_heat_ = in.find(prefix + ".frazil_heat").data[0];
 }
 

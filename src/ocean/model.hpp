@@ -18,9 +18,14 @@
 ///  * the fast 2-D barotropic subsystem *split* from the internal mode and
 ///    subcycled forward-backward with a short step while the internal ocean
 ///    takes a long one;
-///  * an even longer leapfrog step for the advective/diffusive (tracer)
-///    processes, with centered advection so the internal-wave coupling
-///    between momentum and buoyancy stays neutral.
+///  * an even longer step for the advective/diffusive (tracer) processes.
+///    The paper's is a centred leapfrog; as built (DESIGN.md, as-built
+///    deviation 2) tracers step forward in time with upwind transport, so
+///    T and S carry a single time level.
+///
+/// The column kernels are row-tiled and level-major (rows, then levels,
+/// then the x-contiguous columns), with per-column state in nx-long row
+/// accumulators or nz x nx row tiles owned by the model; see model.cpp.
 ///
 /// Parallelization: the domain is distributed in balanced contiguous boxes
 /// over a px * py Cartesian rank grid (par::Decomp2D; px = 1 reproduces the
@@ -181,21 +186,36 @@ class OceanModel {
   void baroclinic_pressure();
   void pressure_forces();  // fills gx_, gy_, fbar_x_, fbar_y_ from pbc_
   void internal_momentum_step();
+  /// Row j of the momentum update, start to finish in the kTileU/kTileV
+  /// tiles: leapfrog, implicit viscosity, wall damping, deep drag, clamp,
+  /// Robert-Asselin filter and the depth-mean transfer to ub_/vb_.
+  void momentum_row(int j, double dt2);
   void barotropic_subcycle();
   void tracer_step();
   void vertical_mixing_coefficients();
-  void convective_adjustment();
+  /// Convective adjustment of column i (lev wet levels) of the T and S
+  /// row tiles.
+  void convective_adjustment(double* t, double* s, int i, int lev) const;
   void apply_polar_filter_2d(Field2Dd& f);
   void apply_polar_filter_3d(Field3Dd& f);
-  void enforce_zero_depth_mean();
+  /// Fold row j's depth-mean deviation velocity into ub_/vb_.
+  void remove_depth_mean_row(int j);
   void index_biharmonic_filter(Field2Dd& f, double eps);
   void init_thermal_wind();
-  /// Vertical velocity at layer-top interfaces from the baroclinic
-  /// deviation velocities (positive up); fills wtop_.
-  void diagnose_w();
-  /// Implicit vertical diffusion solve of one 3-D field with the given
-  /// interface coefficient field over time dt.
-  void implicit_vertical(Field3Dd& f, const Field3Dd& coeff, double dt);
+  /// Vertical velocity of row j at layer-top interfaces from the baroclinic
+  /// deviation velocities (positive up); fills the kTileW tile.
+  void diagnose_w_row(int j);
+  /// The new T and S of row j (advection, surface forcing, lateral
+  /// diffusion) into the t_new/s_new tiles; t_ and s_ are only read.
+  void advect_tracer_row(int j, double dtt, double* t_new, double* s_new);
+  /// Implicit vertical diffusion, freeze clamp and convective adjustment of
+  /// row j's new tracer tiles, then their write-back into t_ and s_.
+  void finish_tracer_row(int j, double dtt, double* t_new, double* s_new);
+  /// Implicit vertical-diffusion matrix of row j (tiles kTileA/B/C, column
+  /// lengths row_len_) for interface coefficients coeff over time dt.
+  void vertical_diffusion_row(int j, const Field3Dd& coeff, double dt);
+  /// Solve the system vertical_diffusion_row built for the row tile d.
+  void solve_vertical_row(double* d);
 
   OceanConfig cfg_;
   const numerics::MercatorGrid& grid_;
@@ -206,6 +226,8 @@ class OceanModel {
   /// Per-level wet masks: kmask_[k](i, j) = wet(i, j, k) ? 1 : 0.
   std::vector<Field2D<int>> kmask_;
   Field2Dd depth_;  // actual wet column depth [m]
+  /// Wet levels of the deepest column in each row j.
+  std::vector<int> row_levels_;
   numerics::PolarFourierFilter filter_;
 
   par::Decomp2D decomp_;
@@ -240,15 +262,36 @@ class OceanModel {
   Field3Dd up_, vp_;            // baroclinic deviation velocity [m/s]
   Field3Dd up_prev_, vp_prev_;  // previous time level
   Field3Dd t_, s_;              // temperature [C], salinity [psu]
-  Field3Dd t_prev_, s_prev_;    // previous tracer time level
   Field2Dd eta_;                // free surface [m]
   Field2Dd ub_, vb_;            // barotropic velocity [m/s]
   bool have_mom_prev_ = false;
-  bool have_tracer_prev_ = false;
 
   // Work arrays.
-  Field3Dd rho_, pbc_, nu_, kappa_, gx_, gy_, wtop_;
+  Field3Dd rho_, pbc_, nu_, kappa_, gx_, gy_;
   Field2Dd fbar_x_, fbar_y_;
+
+  /// Row scratch of the level-major column kernels, reused every call:
+  /// kRowAccs nx-long per-column accumulators (acc) and kRowTiles nz x nx
+  /// row tiles (tile; element k * nx + i), plus the per-column lengths of a
+  /// row's tridiagonal systems. A kernel owns the accumulators only while
+  /// it works on one row.
+  enum RowTile {
+    kTileA, kTileB, kTileC, kTileCp,  // vertical-diffusion system
+    kTileU, kTileV,                   // new momentum level
+    kTileW,                           // vertical velocity
+    kTileT0, kTileT1, kTileS0, kTileS1,  // new tracer rows, double-buffered
+    kRowTiles
+  };
+  static constexpr int kRowAccs = 4;
+  double* acc(int n) {
+    return row_acc_.data() + static_cast<std::size_t>(n) * cfg_.nx;
+  }
+  double* tile(RowTile t) {
+    return row_tiles_.data() +
+           static_cast<std::size_t>(t) * cfg_.nz * cfg_.nx;
+  }
+  std::vector<double> row_acc_, row_tiles_;
+  std::vector<int> row_len_;
 
   // Forcing.
   Field2Dd taux_, tauy_, qnet_, fw_, ice_;

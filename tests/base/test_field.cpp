@@ -78,6 +78,25 @@ TEST(Field3D, WrapX) {
   EXPECT_DOUBLE_EQ(f.wrap_x(4, 0, 1), 3.0);
 }
 
+TEST(Field, WrapXMatchesModulo) {
+  // The in-range and one-period-out cases take a compare-and-add fast path;
+  // everything further out falls back to the division. Both must agree
+  // with the plain modulo for every index, positive or negative.
+  for (const int nx : {1, 2, 5, 128}) {
+    Field2D<int> f2(nx, 2);
+    Field3D<int> f3(nx, 2, 3);
+    for (int i = 0; i < nx; ++i) {
+      f2(i, 1) = i;
+      f3(i, 1, 2) = i;
+    }
+    for (int i = -3 * nx; i < 3 * nx; ++i) {
+      const int want = ((i % nx) + nx) % nx;
+      EXPECT_EQ(f2.wrap_x(i, 1), want) << "nx=" << nx << " i=" << i;
+      EXPECT_EQ(f3.wrap_x(i, 1, 2), want) << "nx=" << nx << " i=" << i;
+    }
+  }
+}
+
 TEST(HasNonFinite, DetectsNanAndInf) {
   Field2Dd f(2, 2, 1.0);
   EXPECT_FALSE(has_non_finite(f));

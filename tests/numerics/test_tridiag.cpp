@@ -85,6 +85,63 @@ TEST(Tridiag, ImplicitDiffusionIsConservativeAndStable) {
   EXPECT_LT(maxv, 10.0);
 }
 
+TEST(Tridiag, RowSolveMatchesColumnSolvesBitwise) {
+  // A row of columns interleaved along i, with ragged lengths (0 skips a
+  // column), must give every column exactly the lone Thomas solve's bits.
+  // Every element starts as a diagonally dominant random value, so a solver
+  // that read or wrote past a column's length (or across columns) would
+  // change the answer, not just recompute an identity row.
+  const int nz = 16;
+  const std::vector<int> len = {0, 1, 2, 7, nz, 7, 2, nz, 1, 0};
+  const int ncol = static_cast<int>(len.size());
+  const std::size_t stride = static_cast<std::size_t>(ncol) + 3;  // padded
+  std::mt19937 rng(29);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  for (int trial = 0; trial < 10; ++trial) {
+    const std::size_t tile = static_cast<std::size_t>(nz) * stride;
+    std::vector<double> a(tile), b(tile), c(tile), d(tile), cp(tile, 0.0);
+    for (std::size_t o = 0; o < tile; ++o) {
+      a[o] = dist(rng);
+      b[o] = 3.0 + std::abs(dist(rng));
+      c[o] = dist(rng);
+      d[o] = dist(rng);
+    }
+    std::vector<std::vector<double>> want(ncol);
+    for (int i = 0; i < ncol; ++i) {
+      const int n = len[static_cast<std::size_t>(i)];
+      std::vector<double> ca(n), cb(n), cc(n), cd(n);
+      for (int k = 0; k < n; ++k) {
+        const std::size_t o = static_cast<std::size_t>(k) * stride + i;
+        ca[k] = a[o];
+        cb[k] = b[o];
+        cc[k] = c[o];
+        cd[k] = d[o];
+      }
+      if (n > 0) solve_tridiag(ca, cb, cc, cd);
+      want[static_cast<std::size_t>(i)] = cd;
+    }
+    const std::vector<double> d_in = d;
+    solve_tridiag(len, stride, a.data(), b.data(), c.data(), d.data(),
+                  cp.data());
+    for (int i = 0; i < ncol; ++i) {
+      const int n = len[static_cast<std::size_t>(i)];
+      for (int k = 0; k < nz; ++k) {
+        const std::size_t o = static_cast<std::size_t>(k) * stride + i;
+        // Rows past a column's length are left untouched.
+        const double expect =
+            k < n ? want[static_cast<std::size_t>(i)][k] : d_in[o];
+        EXPECT_EQ(d[o], expect)
+            << "trial " << trial << " column " << i << " row " << k;
+      }
+    }
+    for (std::size_t o = 0; o < tile; ++o) {
+      if (o % stride >= static_cast<std::size_t>(ncol)) {
+        EXPECT_EQ(d[o], d_in[o]) << "padding element " << o << " written";
+      }
+    }
+  }
+}
+
 TEST(Tridiag, SizeMismatchThrows) {
   std::vector<double> a = {0, 1};
   std::vector<double> b = {1, 1, 1};

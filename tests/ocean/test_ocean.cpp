@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <memory>
+#include <string>
 
 #include "data/earth.hpp"
 #include "base/constants.hpp"
+#include "base/history.hpp"
 #include "ocean/vgrid.hpp"
 
 namespace foam::ocean {
@@ -396,6 +400,83 @@ TEST(OceanModel, FiveByOneMatchesSerialBitwise) {
   // the narrower ranks' blocks; 12 polar rows (96 level slots) are not a
   // multiple of 5, so the ranks filter unequal slot counts.
   expect_layout_bitwise(5, 5, 8);
+}
+
+TEST(OceanModel, LoadsShardWithRetiredTracerLevel) {
+  // Checkpoints written before the previous tracer level was retired carry
+  // .t_prev, .s_prev and .have_tracer_prev records. They must still resume,
+  // bitwise as a shard without them: nothing in the model reads that level.
+  SmallOcean w;
+  Field2Dd taux(48, 48, 0.0), tauy(48, 48, 0.02), q(48, 48, 30.0);
+  for (int j = 0; j < 48; ++j)
+    for (int i = 0; i < 48; ++i)
+      taux(i, j) = analytic_zonal_stress(w.grid.lat(j));
+  OceanForcing f;
+  f.wind_x = &taux;
+  f.wind_y = &tauy;
+  f.heat = &q;
+
+  OceanModel src(w.cfg, w.grid, w.bathy);
+  src.init_climatology();
+  src.set_forcing(f);
+  for (int s = 0; s < 6; ++s) src.step();  // past several tracer steps
+  const std::string p_new = testing::TempDir() + "/ocean_shard_new";
+  const std::string p_old = testing::TempDir() + "/ocean_shard_retired";
+  {
+    HistoryWriter out(p_new);
+    src.save_state(out, "ocean");
+    out.close();
+  }
+  {
+    HistoryWriter out(p_old);
+    src.save_state(out, "ocean");
+    // Values no model state holds, so reading them anywhere would show.
+    out.write("ocean.t_prev", Field3Dd(48, 48, 8, 99.0));
+    out.write("ocean.s_prev", Field3Dd(48, 48, 8, -1.0));
+    out.write_scalar("ocean.have_tracer_prev", 1.0);
+    out.close();
+  }
+  {
+    const HistoryReader in(p_old);
+    ASSERT_NO_THROW(in.find("ocean.t_prev"));
+  }
+
+  auto resume = [&](const std::string& path) {
+    auto m = std::make_unique<OceanModel>(w.cfg, w.grid, w.bathy);
+    m->init_climatology();
+    m->load_state(HistoryReader(path), "ocean");
+    m->set_forcing(f);
+    for (int s = 0; s < 6; ++s) m->step();
+    return m;
+  };
+  const auto a = resume(p_new);
+  const auto b = resume(p_old);
+  std::remove(p_new.c_str());
+  std::remove(p_old.c_str());
+  EXPECT_EQ(a->step_count(), 12);
+  EXPECT_EQ(b->step_count(), 12);
+  for (int j = 0; j < 48; ++j) {
+    for (int i = 0; i < 48; ++i) {
+      ASSERT_EQ(a->eta()(i, j), b->eta()(i, j)) << "(" << i << "," << j << ")";
+      for (int k = 0; k < a->levels()(i, j); ++k) {
+        ASSERT_EQ(a->temperature()(i, j, k), b->temperature()(i, j, k))
+            << "T at (" << i << "," << j << "," << k << ")";
+        ASSERT_EQ(a->salinity()(i, j, k), b->salinity()(i, j, k))
+            << "S at (" << i << "," << j << "," << k << ")";
+        ASSERT_EQ(a->u_total(i, j, k), b->u_total(i, j, k))
+            << "u at (" << i << "," << j << "," << k << ")";
+        ASSERT_EQ(a->v_total(i, j, k), b->v_total(i, j, k))
+            << "v at (" << i << "," << j << "," << k << ")";
+      }
+    }
+  }
+  // The resumed run is the uninterrupted one, too.
+  for (int s = 0; s < 6; ++s) src.step();
+  for (int j = 0; j < 48; ++j)
+    for (int i = 0; i < 48; ++i)
+      for (int k = 0; k < src.levels()(i, j); ++k)
+        ASSERT_EQ(src.temperature()(i, j, k), b->temperature()(i, j, k))
+            << "T at (" << i << "," << j << "," << k << ")";
 }
 
 TEST(OceanModel, RejectsIndivisibleRankGrid) {
