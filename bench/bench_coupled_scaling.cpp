@@ -146,8 +146,7 @@ int main(int argc, char** argv) {
           {"ocean_px", p.px},
           {"ocean_py", p.py},
           {"rank_layout", layout.describe()},
-          {"exchange", overlap ? "overlap" : "blocking"},
-          {"spectral", cfg.atm.spectral_engine ? "engine" : "reference"}};
+          {"exchange", overlap ? "overlap" : "blocking"}};
       json.add("wall_seconds", m.wall, "s", jcfg);
       json.add("model_speedup", m.model_speedup, "x", jcfg);
       json.add("scaled_speedup", m.scaled_speedup, "x", jcfg);

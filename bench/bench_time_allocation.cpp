@@ -44,13 +44,11 @@ using namespace foam;
 
 namespace {
 
-/// \p engine toggles the plan-based spectral engine vs the reference
-/// transform loops (the A/B that shows the atmosphere's spectral share
-/// shrinking); \p level the telemetry depth for the run. Returns the lead
+/// \p level is the telemetry depth for the run. Returns the lead
 /// atmosphere rank's busy seconds; with \p capture the world-rank-0 result
 /// (timelines, traces, metrics) is copied out.
 double run_placement(int n_atm, int n_ocean, double days, bool overlap,
-                     bool engine, telemetry::TraceLevel level,
+                     telemetry::TraceLevel level,
                      bench::BenchJson& json,
                      ParallelRunResult* capture = nullptr, int rep = 0,
                      bool audit = false,
@@ -59,7 +57,6 @@ double run_placement(int n_atm, int n_ocean, double days, bool overlap,
   FoamConfig cfg = FoamConfig::paper_default();
   cfg.atm.emulate_full_core_cost = true;
   cfg.atm.emulate_transforms_per_level = 40;  // full 18-level core cost
-  cfg.atm.spectral_engine = engine;
   const int world = n_atm + n_ocean;
   const char* obs_label = observe == nullptr ? "off"
                           : observe->profile ? "profile"
@@ -68,10 +65,9 @@ double run_placement(int n_atm, int n_ocean, double days, bool overlap,
          atm_share_out = 0.0;
   std::printf(
       "\n--- placement: %d atmosphere + %d ocean ranks, %.2f day, "
-      "%s exchange, %s transforms, telemetry %s, verify %s, observe %s "
-      "---\n",
+      "%s exchange, telemetry %s, verify %s, observe %s ---\n",
       n_atm, n_ocean, days, overlap ? "overlap" : "blocking",
-      engine ? "engine" : "reference", telemetry::trace_level_name(level),
+      telemetry::trace_level_name(level),
       audit ? "audit" : "off", obs_label);
   par::run(world, [&](par::Comm& comm) {
     ParallelRunOptions opts;
@@ -161,7 +157,6 @@ double run_placement(int n_atm, int n_ocean, double days, bool overlap,
       {"ocean_ranks", n_ocean},
       {"rank_layout", RankLayout::rows(n_atm, n_ocean).describe()},
       {"exchange", overlap ? "overlap" : "blocking"},
-      {"spectral", engine ? "engine" : "reference"},
       {"telemetry", telemetry::trace_level_name(level)},
       {"verify", audit ? "audit" : "off"},
       {"observe", obs_label}};
@@ -256,16 +251,11 @@ int main() {
   // A scaled version of the paper's 17-node placement (16+1) first, then
   // the small placements used for the scaling study, over the paper's one
   // simulated day (4 exchanges). Each placement is run blocking, then with
-  // the overlapped exchange, for the exchange A/B; the 4+1 placement is
-  // additionally run with the reference transforms for the spectral-engine
-  // A/B (the atmosphere is transform-dominated under the emulated
-  // 18-level core, so its busy time tracks the spectral share directly).
+  // the overlapped exchange, for the exchange A/B.
   if (!quick)
     for (const bool overlap : {false, true})
-      run_placement(8, 1, days, overlap, /*engine=*/true,
-                    TraceLevel::kRegions, json);
-  run_placement(4, 1, days, /*overlap=*/false, /*engine=*/true,
-                TraceLevel::kRegions, json);
+      run_placement(8, 1, days, overlap, TraceLevel::kRegions, json);
+  run_placement(4, 1, days, /*overlap=*/false, TraceLevel::kRegions, json);
 
   // --- telemetry overhead gate: regions-only tracing vs tracing off on
   // the same placement. Both runs keep the flat Fig. 2 recorder (that is
@@ -280,11 +270,10 @@ int main() {
   double busy_off = 0.0, busy_regions = 0.0;
   for (int rep = 1; rep <= 3; ++rep) {
     const double off = run_placement(4, 1, days, /*overlap=*/true,
-                                     /*engine=*/true, TraceLevel::kOff,
-                                     json, nullptr, rep);
+                                     TraceLevel::kOff, json, nullptr, rep);
     const double reg = run_placement(4, 1, days, /*overlap=*/true,
-                                     /*engine=*/true, TraceLevel::kRegions,
-                                     json, nullptr, rep);
+                                     TraceLevel::kRegions, json, nullptr,
+                                     rep);
     busy_off = rep == 1 ? off : std::min(busy_off, off);
     busy_regions = rep == 1 ? reg : std::min(busy_regions, reg);
   }
@@ -309,8 +298,8 @@ int main() {
   double busy_audit = 0.0;
   for (int rep = 1; rep <= 3; ++rep) {
     const double aud = run_placement(4, 1, days, /*overlap=*/true,
-                                     /*engine=*/true, TraceLevel::kOff,
-                                     json, nullptr, rep, /*audit=*/true);
+                                     TraceLevel::kOff, json, nullptr, rep,
+                                     /*audit=*/true);
     busy_audit = rep == 1 ? aud : std::min(busy_audit, aud);
   }
   const double audit_overhead =
@@ -334,7 +323,7 @@ int main() {
   double busy_live = 0.0;
   for (int rep = 1; rep <= 3; ++rep) {
     const double b = run_placement(4, 1, days, /*overlap=*/true,
-                                   /*engine=*/true, TraceLevel::kOff, json,
+                                   TraceLevel::kOff, json,
                                    nullptr, rep, /*audit=*/false, &live);
     busy_live = rep == 1 ? b : std::min(busy_live, b);
   }
@@ -363,7 +352,7 @@ int main() {
   ParallelRunResult profres;
   for (int rep = 1; rep <= 3; ++rep) {
     const double b = run_placement(4, 1, days, /*overlap=*/true,
-                                   /*engine=*/true, TraceLevel::kOff, json,
+                                   TraceLevel::kOff, json,
                                    &profres, rep, /*audit=*/false, &prof);
     busy_prof = rep == 1 ? b : std::min(busy_prof, b);
   }
@@ -409,25 +398,12 @@ int main() {
   // --- paper-scale audited day: the 8+1 placement under audit mode, with
   // the zero-findings assertion inside run_placement as the acceptance
   // check that a full coupled day is deadlock-free and leak-free.
-  run_placement(8, 1, days, /*overlap=*/true, /*engine=*/true,
-                TraceLevel::kOff, json, nullptr, 0, /*audit=*/true);
-
-  const double ref_busy = run_placement(4, 1, days, /*overlap=*/true,
-                                        /*engine=*/false,
-                                        TraceLevel::kRegions, json);
-  if (busy_regions > 0.0) {
-    std::printf("\nspectral engine A/B (4 atm + 1 ocean, overlap): "
-                "atm busy %.2fs engine vs %.2fs reference (%.2fx)\n",
-                busy_regions, ref_busy, ref_busy / busy_regions);
-    json.add("atm_busy_engine_speedup", ref_busy / busy_regions, "x",
-             {{"atm_ranks", 4}, {"ocean_ranks", 1},
-              {"exchange", "overlap"}});
-  }
+  run_placement(8, 1, days, /*overlap=*/true, TraceLevel::kOff, json,
+                nullptr, 0, /*audit=*/true);
 
   // --- full-trace run: export + self-validate the Chrome trace.
   ParallelRunResult full;
-  run_placement(4, 1, days, /*overlap=*/true, /*engine=*/true,
-                TraceLevel::kFull, json, &full);
+  run_placement(4, 1, days, /*overlap=*/true, TraceLevel::kFull, json, &full);
   export_and_check_trace(full, /*n_atm=*/4, json);
   return 0;
 }

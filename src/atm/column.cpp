@@ -121,7 +121,7 @@ std::vector<double> radiation_heating(const AtmConfig& cfg, const Column& col,
   (void)lw_net_column;
   for (int k = 0; k < nlev; ++k) {
     // Radiative cooling toward a gray equilibrium profile.
-    const double cool = 2.2 / 86400.0;  // K/s scale
+    const double cool = 2.2 / c::seconds_per_day;  // K/s scale
     heat[k] -= cool * std::clamp((col.t[k] - 200.0) / 90.0, 0.2, 1.4);
   }
   return heat;

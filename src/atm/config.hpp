@@ -3,6 +3,8 @@
 /// \file config.hpp
 /// Configuration of the FOAM atmosphere (PCCM2-derived, R15).
 
+#include "base/constants.hpp"
+
 namespace foam::atm {
 
 /// Physics generation switch: the paper began from CCM2 physics and found
@@ -30,13 +32,6 @@ struct AtmConfig {
 
   PhysicsVersion physics = PhysicsVersion::kCcm3;
 
-  /// Spectral transform implementation: true selects the plan-based engine
-  /// (allocation-free real FFT, parity-folded Legendre panels, batched
-  /// multi-field passes); false selects the reference scalar loops. The two
-  /// agree to <= 1e-12 relative — the toggle exists for A/B timing and
-  /// regression hunting.
-  bool spectral_engine = true;
-
   /// del^4 spectral dissipation e-folding time on the smallest scale [s]
   /// ("recommended values for the diffusion coefficient" for R15 CCM2).
   double tau_del4 = 8.0 * 3600.0;
@@ -44,7 +39,7 @@ struct AtmConfig {
   double asselin = 0.05;
 
   /// Thermal relaxation time of the radiative-convective column [s].
-  double tau_newtonian = 20.0 * 86400.0;
+  double tau_newtonian = 20.0 * constants::seconds_per_day;
 
   /// CO2 scaling relative to the modern value (sensitivity experiments).
   double co2_factor = 1.0;

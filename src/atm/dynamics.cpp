@@ -175,7 +175,7 @@ void SpectralDynamics::step(par::Comm* comm) {
   for (int l = 0; l < nd; ++l) {
     const SpectralField& adv = advs[l];
     // Leapfrog with lagged del^4 damping and jet relaxation.
-    const double tau_relax = 8.0 * 86400.0;
+    const double tau_relax = 8.0 * c::seconds_per_day;
     SpectralField znew(st_.mmax(), st_.kmax());
     for (int m = 0; m <= st_.mmax(); ++m) {
       for (int k = 0; k < st_.kmax(); ++k) {

@@ -99,7 +99,7 @@ void CoupledFoam::exchange() {
   of.ice = &coupler_->ice_fraction_o();
   ocean_->set_forcing(of);
   const double ocean_seconds = cfg_.exchange_seconds * cfg_.ocean_accel;
-  ocean_->run_days(ocean_seconds / 86400.0);
+  ocean_->run_days(ocean_seconds / c::seconds_per_day);
 
   atm_->set_surface(coupler_->make_atm_surface(ocean_->sst()));
   atm_->reset_flux_accumulation();
@@ -117,7 +117,7 @@ void CoupledFoam::step() {
 
 void CoupledFoam::run_days(double days) {
   const auto n = static_cast<std::int64_t>(
-      std::llround(days * 86400.0 / cfg_.atm.dt));
+      std::llround(days * c::seconds_per_day / cfg_.atm.dt));
   for (std::int64_t s = 0; s < n; ++s) step();
 }
 
@@ -283,12 +283,12 @@ ParallelRunResult run_coupled_parallel(par::Comm& world,
   const auto exchange_steps =
       static_cast<std::int64_t>(cfg.exchange_seconds / cfg.atm.dt);
   const auto total_steps = static_cast<std::int64_t>(
-      std::llround(days * 86400.0 / cfg.atm.dt));
+      std::llround(days * c::seconds_per_day / cfg.atm.dt));
   const std::int64_t n_exchanges = total_steps / exchange_steps;
   // Quiescence audit at every coupled-day boundary (all ranks hit the same
   // exchanges, so the collective call lines up). No-op when verify is off.
   const std::int64_t exchanges_per_day = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(std::llround(86400.0 /
+      1, static_cast<std::int64_t>(std::llround(c::seconds_per_day /
                                                 cfg.exchange_seconds)));
   const auto day_boundary_audit = [&](std::int64_t ex) {
     if ((ex + 1) % exchanges_per_day == 0) world.verify_quiescent();
@@ -639,7 +639,7 @@ ParallelRunResult run_coupled_parallel(par::Comm& world,
       rec.begin_region(par::Region::kOcean);
       const double cpu0 = par::thread_cpu_now();
       ocn.set_forcing(forcing);
-      ocn.run_days(cfg.exchange_seconds * cfg.ocean_accel / 86400.0);
+      ocn.run_days(cfg.exchange_seconds * cfg.ocean_accel / c::seconds_per_day);
       Field2Dd sst = ocn.gather(ocn.sst());
       Field2Dd frazil = ocn.gather(ocn.drain_frazil());
       if (world.rank() == n_atm) {

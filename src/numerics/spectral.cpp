@@ -16,13 +16,38 @@ namespace {
 /// simulated day would cost a few percent, so sizes are accounted here,
 /// once per batch call. plan_rows counts latitude rows pushed through the
 /// cached FFT plan — the plan-reuse analogue of a cache-hit counter.
-void note_batch(bool engine, std::size_t fields, std::size_t rows) {
+void note_batch(std::size_t fields, std::size_t rows) {
   if (telemetry::current() == nullptr) return;
-  telemetry::count(engine ? "spectral.engine_batches"
-                          : "spectral.reference_batches");
+  telemetry::count("spectral.engine_batches");
   telemetry::observe("spectral.batch_fields", static_cast<double>(fields));
   telemetry::count("spectral.plan_rows",
                    static_cast<std::uint64_t>(rows) * fields);
+}
+
+/// Every grid field of a call, input or output, must be nlon x nlat: the
+/// kernels index rows by global latitude.
+template <class F>
+void require_grid_shape(const GaussianGrid& grid, const std::vector<F*>& fs) {
+  for (const Field2Dd* f : fs)
+    FOAM_REQUIRE(f->nx() == grid.nlon() && f->ny() == grid.nlat(),
+                 "field shape " << f->nx() << "x" << f->ny() << ", grid "
+                                << grid.nlon() << "x" << grid.nlat());
+}
+
+void require_truncation(int mmax, int kmax,
+                        const std::vector<const SpectralField*>& ss) {
+  for (const SpectralField* s : ss)
+    FOAM_REQUIRE(s->mmax() == mmax && s->kmax() == kmax,
+                 "truncation (" << s->mmax() << "," << s->kmax()
+                                << "), transform (" << mmax << "," << kmax
+                                << ")");
+}
+
+/// Serial synthesis resizes its outputs to the grid.
+void fit_to_grid(const GaussianGrid& grid, const std::vector<Field2Dd*>& fs) {
+  for (Field2Dd* f : fs)
+    if (f->nx() != grid.nlon() || f->ny() != grid.nlat())
+      *f = Field2Dd(grid.nlon(), grid.nlat());
 }
 
 }  // namespace
@@ -58,13 +83,10 @@ double SpectralField::power() const {
   return sum;
 }
 
-SpectralTransform::SpectralTransform(const GaussianGrid& grid, int mmax,
-                                     SpectralMode mode)
+SpectralTransform::SpectralTransform(const GaussianGrid& grid, int mmax)
     : grid_(grid),
       mmax_(mmax),
       kmax_(mmax + 1),
-      mode_(mode),
-      fft_(grid.nlon()),
       plan_(grid.nlon()),
       table_(mmax, /*kmax=*/mmax + 1, grid.mus()) {
   FOAM_REQUIRE(mmax >= 1, "mmax=" << mmax);
@@ -112,30 +134,6 @@ SpectralTransform::LatPairing SpectralTransform::make_pairing(
 }
 
 // ---------------------------------------------------------------------------
-// Reference row transforms
-
-void SpectralTransform::fourier_row(const Field2Dd& f, int j,
-                                    std::vector<cplx>& fm) const {
-  const int nlon = grid_.nlon();
-  std::vector<double> row(nlon);
-  for (int i = 0; i < nlon; ++i) row[i] = f(i, j);
-  std::vector<cplx> spec = fft_.forward_real(row);
-  fm.resize(mmax_ + 1);
-  const double inv_n = 1.0 / nlon;
-  for (int m = 0; m <= mmax_; ++m) fm[m] = spec[m] * inv_n;
-}
-
-void SpectralTransform::inv_fourier_row(const std::vector<cplx>& fm,
-                                        Field2Dd& f, int j) const {
-  const int nlon = grid_.nlon();
-  std::vector<cplx> spec(nlon / 2 + 1, cplx(0.0, 0.0));
-  for (int m = 0; m <= mmax_; ++m)
-    spec[m] = fm[m] * static_cast<double>(nlon);
-  std::vector<double> row = fft_.inverse_real(spec);
-  for (int i = 0; i < nlon; ++i) f(i, j) = row[i];
-}
-
-// ---------------------------------------------------------------------------
 // Plan-based row transforms
 
 void SpectralTransform::fourier_row_plan(const Field2Dd& f, int j, cplx* fm,
@@ -173,12 +171,13 @@ void SpectralTransform::inv_fourier_row_plan(const cplx* fm, Field2Dd& f,
 // odd fold. The inner loops stream the LegendreTable's contiguous (m, k)
 // panels for the southern row of each pair.
 
-void SpectralTransform::engine_analyze(const LatPairing& lp,
-                                       const std::vector<const Field2Dd*>& fs,
-                                       std::vector<SpectralField>& out,
-                                       SpectralWorkspace& ws) const {
+std::vector<SpectralField> SpectralTransform::engine_analyze(
+    const LatPairing& lp, const std::vector<const Field2Dd*>& fs,
+    SpectralWorkspace& ws) const {
+  require_grid_shape(grid_, fs);
   const int nm = mmax_ + 1;
   const int nf = static_cast<int>(fs.size());
+  std::vector<SpectralField> out(fs.size(), SpectralField(mmax_, kmax_));
   ws.fm_a.resize(nm);
   ws.fm_b.resize(nm);
   ws.fold_pe.resize(static_cast<std::size_t>(nf) * nm);
@@ -228,11 +227,15 @@ void SpectralTransform::engine_analyze(const LatPairing& lp,
       }
     }
   }
+  return out;
 }
 
 void SpectralTransform::engine_synthesize(
     const LatPairing& lp, const std::vector<const SpectralField*>& ss,
     const std::vector<Field2Dd*>& outs, SpectralWorkspace& ws) const {
+  FOAM_REQUIRE(ss.size() == outs.size(), "batch size mismatch");
+  require_truncation(mmax_, kmax_, ss);
+  require_grid_shape(grid_, outs);
   const int nm = mmax_ + 1;
   const int nf = static_cast<int>(ss.size());
   ws.fm_a.resize(nm);
@@ -275,12 +278,15 @@ void SpectralTransform::engine_synthesize(
   }
 }
 
-void SpectralTransform::engine_analyze_vec(
+std::vector<SpectralField> SpectralTransform::engine_analyze_vec(
     const LatPairing& lp, bool curl, const std::vector<const Field2Dd*>& As,
-    const std::vector<const Field2Dd*>& Bs, std::vector<SpectralField>& out,
-    SpectralWorkspace& ws) const {
+    const std::vector<const Field2Dd*>& Bs, SpectralWorkspace& ws) const {
+  FOAM_REQUIRE(As.size() == Bs.size(), "batch size mismatch");
+  require_grid_shape(grid_, As);
+  require_grid_shape(grid_, Bs);
   const int nm = mmax_ + 1;
   const int nf = static_cast<int>(As.size());
+  std::vector<SpectralField> out(As.size(), SpectralField(mmax_, kmax_));
   ws.fm_a.resize(nm);
   ws.fm_b.resize(nm);
   ws.fm_c.resize(nm);
@@ -374,6 +380,7 @@ void SpectralTransform::engine_analyze_vec(
       }
     }
   }
+  return out;
 }
 
 void SpectralTransform::engine_uv(const LatPairing& lp,
@@ -382,6 +389,13 @@ void SpectralTransform::engine_uv(const LatPairing& lp,
                                   const std::vector<Field2Dd*>& Us,
                                   const std::vector<Field2Dd*>& Vs,
                                   SpectralWorkspace& ws) const {
+  FOAM_REQUIRE(psis.size() == chis.size() && psis.size() == Us.size() &&
+                   psis.size() == Vs.size(),
+               "batch size mismatch");
+  require_truncation(mmax_, kmax_, psis);
+  require_truncation(mmax_, kmax_, chis);
+  require_grid_shape(grid_, Us);
+  require_grid_shape(grid_, Vs);
   const int nm = mmax_ + 1;
   const int nf = static_cast<int>(psis.size());
   const double inv_a = 1.0 / earth_radius;
@@ -469,7 +483,8 @@ void SpectralTransform::engine_uv(const LatPairing& lp,
 }
 
 // ---------------------------------------------------------------------------
-// Serial entry points
+// Serial entry points: a single field is a batch of one through the same
+// kernel, without the per-batch telemetry.
 
 SpectralField SpectralTransform::analyze(const Field2Dd& f) const {
   SpectralWorkspace ws;
@@ -478,25 +493,7 @@ SpectralField SpectralTransform::analyze(const Field2Dd& f) const {
 
 SpectralField SpectralTransform::analyze(const Field2Dd& f,
                                          SpectralWorkspace& ws) const {
-  FOAM_REQUIRE(f.nx() == grid_.nlon() && f.ny() == grid_.nlat(),
-               "field shape " << f.nx() << "x" << f.ny());
-  SpectralField s(mmax_, kmax_);
-  if (mode_ == SpectralMode::kEngine) {
-    std::vector<SpectralField> out(1);
-    out[0] = std::move(s);
-    engine_analyze(pairing_, {&f}, out, ws);
-    return std::move(out[0]);
-  }
-  std::vector<cplx> fm;
-  for (int j = 0; j < grid_.nlat(); ++j) {
-    fourier_row(f, j, fm);
-    const double wj = 0.5 * grid_.gauss_weight(j);
-    for (int m = 0; m <= mmax_; ++m) {
-      const cplx wfm = wj * fm[m];
-      for (int k = 0; k < kmax_; ++k) s.at(m, k) += wfm * table_.p(m, k, j);
-    }
-  }
-  return s;
+  return std::move(engine_analyze(pairing_, {&f}, ws)[0]);
 }
 
 Field2Dd SpectralTransform::synthesize(const SpectralField& s) const {
@@ -506,186 +503,63 @@ Field2Dd SpectralTransform::synthesize(const SpectralField& s) const {
 
 Field2Dd SpectralTransform::synthesize(const SpectralField& s,
                                        SpectralWorkspace& ws) const {
-  FOAM_REQUIRE(s.mmax() == mmax_ && s.kmax() == kmax_, "truncation mismatch");
   Field2Dd f(grid_.nlon(), grid_.nlat());
-  if (mode_ == SpectralMode::kEngine) {
-    engine_synthesize(pairing_, {&s}, {&f}, ws);
-    return f;
-  }
-  std::vector<cplx> fm(mmax_ + 1);
-  for (int j = 0; j < grid_.nlat(); ++j) {
-    for (int m = 0; m <= mmax_; ++m) {
-      cplx acc(0.0, 0.0);
-      for (int k = 0; k < kmax_; ++k) acc += s.at(m, k) * table_.p(m, k, j);
-      fm[m] = acc;
-    }
-    inv_fourier_row(fm, f, j);
-  }
+  engine_synthesize(pairing_, {&s}, {&f}, ws);
   return f;
 }
 
 SpectralField SpectralTransform::analyze_div(const Field2Dd& A,
                                              const Field2Dd& B) const {
-  if (mode_ == SpectralMode::kEngine) {
-    SpectralWorkspace ws;
-    std::vector<SpectralField> out(1);
-    out[0] = SpectralField(mmax_, kmax_);
-    engine_analyze_vec(pairing_, /*curl=*/false, {&A}, {&B}, out, ws);
-    return std::move(out[0]);
-  }
-  SpectralField s(mmax_, kmax_);
-  std::vector<cplx> am, bm;
-  for (int j = 0; j < grid_.nlat(); ++j) {
-    fourier_row(A, j, am);
-    fourier_row(B, j, bm);
-    const double mu = grid_.mu(j);
-    const double one_minus_mu2 = 1.0 - mu * mu;
-    const double wj =
-        0.5 * grid_.gauss_weight(j) / (earth_radius * one_minus_mu2);
-    for (int m = 0; m <= mmax_; ++m) {
-      const cplx ia = cplx(0.0, static_cast<double>(m)) * am[m] * wj;
-      const cplx b = bm[m] * wj;
-      for (int k = 0; k < kmax_; ++k) {
-        s.at(m, k) += ia * table_.p(m, k, j) - b * table_.h(m, k, j);
-      }
-    }
-  }
-  return s;
+  SpectralWorkspace ws;
+  return std::move(
+      engine_analyze_vec(pairing_, /*curl=*/false, {&A}, {&B}, ws)[0]);
 }
 
 SpectralField SpectralTransform::analyze_curl(const Field2Dd& A,
                                               const Field2Dd& B) const {
-  if (mode_ == SpectralMode::kEngine) {
-    SpectralWorkspace ws;
-    std::vector<SpectralField> out(1);
-    out[0] = SpectralField(mmax_, kmax_);
-    engine_analyze_vec(pairing_, /*curl=*/true, {&A}, {&B}, out, ws);
-    return std::move(out[0]);
-  }
-  SpectralField s(mmax_, kmax_);
-  std::vector<cplx> am, bm;
-  for (int j = 0; j < grid_.nlat(); ++j) {
-    fourier_row(A, j, am);
-    fourier_row(B, j, bm);
-    const double mu = grid_.mu(j);
-    const double one_minus_mu2 = 1.0 - mu * mu;
-    const double wj =
-        0.5 * grid_.gauss_weight(j) / (earth_radius * one_minus_mu2);
-    for (int m = 0; m <= mmax_; ++m) {
-      const cplx ib = cplx(0.0, static_cast<double>(m)) * bm[m] * wj;
-      const cplx a = am[m] * wj;
-      for (int k = 0; k < kmax_; ++k) {
-        s.at(m, k) += ib * table_.p(m, k, j) + a * table_.h(m, k, j);
-      }
-    }
-  }
-  return s;
+  SpectralWorkspace ws;
+  return std::move(
+      engine_analyze_vec(pairing_, /*curl=*/true, {&A}, {&B}, ws)[0]);
 }
 
 void SpectralTransform::uv_from_psi_chi(const SpectralField& psi,
                                         const SpectralField& chi,
                                         Field2Dd& U, Field2Dd& V) const {
-  FOAM_REQUIRE(psi.mmax() == mmax_ && chi.mmax() == mmax_,
-               "truncation mismatch");
-  if (U.nx() != grid_.nlon() || U.ny() != grid_.nlat())
-    U = Field2Dd(grid_.nlon(), grid_.nlat());
-  if (V.nx() != grid_.nlon() || V.ny() != grid_.nlat())
-    V = Field2Dd(grid_.nlon(), grid_.nlat());
-  if (mode_ == SpectralMode::kEngine) {
-    SpectralWorkspace ws;
-    engine_uv(pairing_, {&psi}, {&chi}, {&U}, {&V}, ws);
-    return;
-  }
-  std::vector<cplx> um(mmax_ + 1), vm(mmax_ + 1);
-  const double inv_a = 1.0 / earth_radius;
-  for (int j = 0; j < grid_.nlat(); ++j) {
-    for (int m = 0; m <= mmax_; ++m) {
-      const cplx im(0.0, static_cast<double>(m));
-      cplx u(0.0, 0.0), v(0.0, 0.0);
-      for (int k = 0; k < kmax_; ++k) {
-        const double p = table_.p(m, k, j);
-        const double h = table_.h(m, k, j);
-        u += im * chi.at(m, k) * p - psi.at(m, k) * h;
-        v += im * psi.at(m, k) * p + chi.at(m, k) * h;
-      }
-      um[m] = u * inv_a;
-      vm[m] = v * inv_a;
-    }
-    inv_fourier_row(um, U, j);
-    inv_fourier_row(vm, V, j);
-  }
+  SpectralWorkspace ws;
+  fit_to_grid(grid_, {&U, &V});
+  engine_uv(pairing_, {&psi}, {&chi}, {&U}, {&V}, ws);
 }
-
-// ---------------------------------------------------------------------------
-// Serial batched entry points
 
 std::vector<SpectralField> SpectralTransform::analyze_batch(
     const std::vector<const Field2Dd*>& fs, SpectralWorkspace& ws) const {
   FOAM_TRACE_SCOPE("spectral.analyze_batch");
-  note_batch(mode_ == SpectralMode::kEngine, fs.size(),
-             static_cast<std::size_t>(grid_.nlat()));
-  std::vector<SpectralField> out(fs.size());
-  for (auto& s : out) s = SpectralField(mmax_, kmax_);
-  if (mode_ == SpectralMode::kEngine) {
-    engine_analyze(pairing_, fs, out, ws);
-  } else {
-    for (std::size_t f = 0; f < fs.size(); ++f) out[f] = analyze(*fs[f]);
-  }
-  return out;
+  note_batch(fs.size(), static_cast<std::size_t>(grid_.nlat()));
+  return engine_analyze(pairing_, fs, ws);
 }
 
 void SpectralTransform::synthesize_batch(
     const std::vector<const SpectralField*>& ss,
     const std::vector<Field2Dd*>& outs, SpectralWorkspace& ws) const {
-  FOAM_REQUIRE(ss.size() == outs.size(), "batch size mismatch");
   FOAM_TRACE_SCOPE("spectral.synthesize_batch");
-  note_batch(mode_ == SpectralMode::kEngine, ss.size(),
-             static_cast<std::size_t>(grid_.nlat()));
-  for (auto* g : outs) {
-    if (g->nx() != grid_.nlon() || g->ny() != grid_.nlat())
-      *g = Field2Dd(grid_.nlon(), grid_.nlat());
-  }
-  if (mode_ == SpectralMode::kEngine) {
-    engine_synthesize(pairing_, ss, outs, ws);
-  } else {
-    for (std::size_t f = 0; f < ss.size(); ++f) *outs[f] = synthesize(*ss[f]);
-  }
+  note_batch(ss.size(), static_cast<std::size_t>(grid_.nlat()));
+  fit_to_grid(grid_, outs);
+  engine_synthesize(pairing_, ss, outs, ws);
 }
 
 std::vector<SpectralField> SpectralTransform::analyze_div_batch(
     const std::vector<const Field2Dd*>& As,
     const std::vector<const Field2Dd*>& Bs, SpectralWorkspace& ws) const {
-  FOAM_REQUIRE(As.size() == Bs.size(), "batch size mismatch");
   FOAM_TRACE_SCOPE("spectral.analyze_div_batch");
-  note_batch(mode_ == SpectralMode::kEngine, As.size(),
-             static_cast<std::size_t>(grid_.nlat()));
-  std::vector<SpectralField> out(As.size());
-  for (auto& s : out) s = SpectralField(mmax_, kmax_);
-  if (mode_ == SpectralMode::kEngine) {
-    engine_analyze_vec(pairing_, /*curl=*/false, As, Bs, out, ws);
-  } else {
-    for (std::size_t f = 0; f < As.size(); ++f)
-      out[f] = analyze_div(*As[f], *Bs[f]);
-  }
-  return out;
+  note_batch(As.size(), static_cast<std::size_t>(grid_.nlat()));
+  return engine_analyze_vec(pairing_, /*curl=*/false, As, Bs, ws);
 }
 
 std::vector<SpectralField> SpectralTransform::analyze_curl_batch(
     const std::vector<const Field2Dd*>& As,
     const std::vector<const Field2Dd*>& Bs, SpectralWorkspace& ws) const {
-  FOAM_REQUIRE(As.size() == Bs.size(), "batch size mismatch");
   FOAM_TRACE_SCOPE("spectral.analyze_curl_batch");
-  note_batch(mode_ == SpectralMode::kEngine, As.size(),
-             static_cast<std::size_t>(grid_.nlat()));
-  std::vector<SpectralField> out(As.size());
-  for (auto& s : out) s = SpectralField(mmax_, kmax_);
-  if (mode_ == SpectralMode::kEngine) {
-    engine_analyze_vec(pairing_, /*curl=*/true, As, Bs, out, ws);
-  } else {
-    for (std::size_t f = 0; f < As.size(); ++f)
-      out[f] = analyze_curl(*As[f], *Bs[f]);
-  }
-  return out;
+  note_batch(As.size(), static_cast<std::size_t>(grid_.nlat()));
+  return engine_analyze_vec(pairing_, /*curl=*/true, As, Bs, ws);
 }
 
 void SpectralTransform::uv_from_psi_chi_batch(
@@ -693,24 +567,11 @@ void SpectralTransform::uv_from_psi_chi_batch(
     const std::vector<const SpectralField*>& chis,
     const std::vector<Field2Dd*>& Us, const std::vector<Field2Dd*>& Vs,
     SpectralWorkspace& ws) const {
-  FOAM_REQUIRE(psis.size() == chis.size() && psis.size() == Us.size() &&
-                   psis.size() == Vs.size(),
-               "batch size mismatch");
   FOAM_TRACE_SCOPE("spectral.uv_batch");
-  note_batch(mode_ == SpectralMode::kEngine, psis.size(),
-             static_cast<std::size_t>(grid_.nlat()));
-  for (std::size_t f = 0; f < Us.size(); ++f) {
-    if (Us[f]->nx() != grid_.nlon() || Us[f]->ny() != grid_.nlat())
-      *Us[f] = Field2Dd(grid_.nlon(), grid_.nlat());
-    if (Vs[f]->nx() != grid_.nlon() || Vs[f]->ny() != grid_.nlat())
-      *Vs[f] = Field2Dd(grid_.nlon(), grid_.nlat());
-  }
-  if (mode_ == SpectralMode::kEngine) {
-    engine_uv(pairing_, psis, chis, Us, Vs, ws);
-  } else {
-    for (std::size_t f = 0; f < psis.size(); ++f)
-      uv_from_psi_chi(*psis[f], *chis[f], *Us[f], *Vs[f]);
-  }
+  note_batch(psis.size(), static_cast<std::size_t>(grid_.nlat()));
+  fit_to_grid(grid_, Us);
+  fit_to_grid(grid_, Vs);
+  engine_uv(pairing_, psis, chis, Us, Vs, ws);
 }
 
 double SpectralTransform::laplacian_eigenvalue(int n) const {
@@ -755,22 +616,19 @@ ParSpectralTransform::ParSpectralTransform(const SpectralTransform& serial,
   pairing_ = SpectralTransform::make_pairing(serial_.grid(), my_lats_);
 }
 
-void ParSpectralTransform::allreduce_spectral(par::Comm& comm,
-                                              SpectralField& s) const {
-  FOAM_TRACE_SCOPE("spectral.allreduce");
-  // Reduce directly over the coefficient storage viewed as doubles — the
-  // rank-ordered reduction writes into the same span, no staging copies.
-  const std::size_t n = s.size() * 2;  // complex -> 2 doubles
-  double* raw = reinterpret_cast<double*>(s.data());
-  comm.allreduce(std::span<const double>(raw, n), std::span<double>(raw, n),
-                 par::ReduceOp::kSum);
-}
-
 void ParSpectralTransform::allreduce_fused(
     par::Comm& comm, std::vector<SpectralField>& fields) const {
   if (fields.empty()) return;
   FOAM_TRACE_SCOPE("spectral.allreduce");
-  const std::size_t per = fields[0].size() * 2;
+  const std::size_t per = fields[0].size() * 2;  // complex -> 2 doubles
+  if (fields.size() == 1) {
+    // Reduce directly over the coefficient storage viewed as doubles — the
+    // rank-ordered reduction writes into the same span, no staging copies.
+    double* raw = reinterpret_cast<double*>(fields[0].data());
+    comm.allreduce(std::span<const double>(raw, per),
+                   std::span<double>(raw, per), par::ReduceOp::kSum);
+    return;
+  }
   ws_.reduce.resize(per * fields.size());
   for (std::size_t f = 0; f < fields.size(); ++f) {
     const double* raw = reinterpret_cast<const double*>(fields[f].data());
@@ -787,204 +645,79 @@ void ParSpectralTransform::allreduce_fused(
   }
 }
 
+// Single-field entry points are batches of one without the per-batch
+// telemetry; a batch of one reduces in place.
+
 SpectralField ParSpectralTransform::analyze(par::Comm& comm,
                                             const Field2Dd& f) const {
-  SpectralField s(serial_.mmax(), serial_.kmax());
-  if (serial_.mode() == SpectralMode::kEngine) {
-    std::vector<SpectralField> out(1);
-    out[0] = std::move(s);
-    serial_.engine_analyze(pairing_, {&f}, out, ws_);
-    allreduce_spectral(comm, out[0]);
-    return std::move(out[0]);
-  }
-  std::vector<cplx> fm;
-  for (const int j : my_lats_) {
-    serial_.fourier_row(f, j, fm);
-    const double wj = 0.5 * serial_.grid().gauss_weight(j);
-    for (int m = 0; m <= serial_.mmax(); ++m) {
-      const cplx wfm = wj * fm[m];
-      for (int k = 0; k < serial_.kmax(); ++k)
-        s.at(m, k) += wfm * serial_.table_.p(m, k, j);
-    }
-  }
-  allreduce_spectral(comm, s);
-  return s;
+  auto out = serial_.engine_analyze(pairing_, {&f}, ws_);
+  allreduce_fused(comm, out);
+  return std::move(out[0]);
 }
 
 void ParSpectralTransform::synthesize(const SpectralField& s,
                                       Field2Dd& f) const {
-  if (serial_.mode() == SpectralMode::kEngine) {
-    serial_.engine_synthesize(pairing_, {&s}, {&f}, ws_);
-    return;
-  }
-  std::vector<cplx> fm(serial_.mmax() + 1);
-  for (const int j : my_lats_) {
-    for (int m = 0; m <= serial_.mmax(); ++m) {
-      cplx acc(0.0, 0.0);
-      for (int k = 0; k < serial_.kmax(); ++k)
-        acc += s.at(m, k) * serial_.table_.p(m, k, j);
-      fm[m] = acc;
-    }
-    serial_.inv_fourier_row(fm, f, j);
-  }
+  serial_.engine_synthesize(pairing_, {&s}, {&f}, ws_);
 }
 
 SpectralField ParSpectralTransform::analyze_div(par::Comm& comm,
                                                 const Field2Dd& A,
                                                 const Field2Dd& B) const {
-  SpectralField s(serial_.mmax(), serial_.kmax());
-  if (serial_.mode() == SpectralMode::kEngine) {
-    std::vector<SpectralField> out(1);
-    out[0] = std::move(s);
-    serial_.engine_analyze_vec(pairing_, /*curl=*/false, {&A}, {&B}, out,
-                               ws_);
-    allreduce_spectral(comm, out[0]);
-    return std::move(out[0]);
-  }
-  std::vector<cplx> am, bm;
-  for (const int j : my_lats_) {
-    serial_.fourier_row(A, j, am);
-    serial_.fourier_row(B, j, bm);
-    const double mu = serial_.grid().mu(j);
-    const double wj = 0.5 * serial_.grid().gauss_weight(j) /
-                      (earth_radius * (1.0 - mu * mu));
-    for (int m = 0; m <= serial_.mmax(); ++m) {
-      const cplx ia = cplx(0.0, static_cast<double>(m)) * am[m] * wj;
-      const cplx b = bm[m] * wj;
-      for (int k = 0; k < serial_.kmax(); ++k)
-        s.at(m, k) +=
-            ia * serial_.table_.p(m, k, j) - b * serial_.table_.h(m, k, j);
-    }
-  }
-  allreduce_spectral(comm, s);
-  return s;
+  auto out =
+      serial_.engine_analyze_vec(pairing_, /*curl=*/false, {&A}, {&B}, ws_);
+  allreduce_fused(comm, out);
+  return std::move(out[0]);
 }
 
 SpectralField ParSpectralTransform::analyze_curl(par::Comm& comm,
                                                  const Field2Dd& A,
                                                  const Field2Dd& B) const {
-  SpectralField s(serial_.mmax(), serial_.kmax());
-  if (serial_.mode() == SpectralMode::kEngine) {
-    std::vector<SpectralField> out(1);
-    out[0] = std::move(s);
-    serial_.engine_analyze_vec(pairing_, /*curl=*/true, {&A}, {&B}, out, ws_);
-    allreduce_spectral(comm, out[0]);
-    return std::move(out[0]);
-  }
-  std::vector<cplx> am, bm;
-  for (const int j : my_lats_) {
-    serial_.fourier_row(A, j, am);
-    serial_.fourier_row(B, j, bm);
-    const double mu = serial_.grid().mu(j);
-    const double wj = 0.5 * serial_.grid().gauss_weight(j) /
-                      (earth_radius * (1.0 - mu * mu));
-    for (int m = 0; m <= serial_.mmax(); ++m) {
-      const cplx ib = cplx(0.0, static_cast<double>(m)) * bm[m] * wj;
-      const cplx a = am[m] * wj;
-      for (int k = 0; k < serial_.kmax(); ++k)
-        s.at(m, k) +=
-            ib * serial_.table_.p(m, k, j) + a * serial_.table_.h(m, k, j);
-    }
-  }
-  allreduce_spectral(comm, s);
-  return s;
+  auto out =
+      serial_.engine_analyze_vec(pairing_, /*curl=*/true, {&A}, {&B}, ws_);
+  allreduce_fused(comm, out);
+  return std::move(out[0]);
 }
 
 void ParSpectralTransform::uv_from_psi_chi(const SpectralField& psi,
                                            const SpectralField& chi,
                                            Field2Dd& U, Field2Dd& V) const {
-  if (serial_.mode() == SpectralMode::kEngine) {
-    serial_.engine_uv(pairing_, {&psi}, {&chi}, {&U}, {&V}, ws_);
-    return;
-  }
-  std::vector<cplx> um(serial_.mmax() + 1), vm(serial_.mmax() + 1);
-  const double inv_a = 1.0 / earth_radius;
-  for (const int j : my_lats_) {
-    for (int m = 0; m <= serial_.mmax(); ++m) {
-      const cplx im(0.0, static_cast<double>(m));
-      cplx u(0.0, 0.0), v(0.0, 0.0);
-      for (int k = 0; k < serial_.kmax(); ++k) {
-        const double p = serial_.table_.p(m, k, j);
-        const double h = serial_.table_.h(m, k, j);
-        u += im * chi.at(m, k) * p - psi.at(m, k) * h;
-        v += im * psi.at(m, k) * p + chi.at(m, k) * h;
-      }
-      um[m] = u * inv_a;
-      vm[m] = v * inv_a;
-    }
-    serial_.inv_fourier_row(um, U, j);
-    serial_.inv_fourier_row(vm, V, j);
-  }
+  serial_.engine_uv(pairing_, {&psi}, {&chi}, {&U}, {&V}, ws_);
 }
-
-// ---------------------------------------------------------------------------
-// Distributed batched entry points
 
 std::vector<SpectralField> ParSpectralTransform::analyze_batch(
     par::Comm& comm, const std::vector<const Field2Dd*>& fs) const {
   FOAM_TRACE_SCOPE("spectral.analyze_batch");
-  note_batch(serial_.mode() == SpectralMode::kEngine, fs.size(),
-             my_lats_.size());
-  std::vector<SpectralField> out(fs.size());
-  for (auto& s : out) s = SpectralField(serial_.mmax(), serial_.kmax());
-  if (serial_.mode() == SpectralMode::kEngine) {
-    serial_.engine_analyze(pairing_, fs, out, ws_);
-    allreduce_fused(comm, out);
-  } else {
-    for (std::size_t f = 0; f < fs.size(); ++f) out[f] = analyze(comm, *fs[f]);
-  }
+  note_batch(fs.size(), my_lats_.size());
+  auto out = serial_.engine_analyze(pairing_, fs, ws_);
+  allreduce_fused(comm, out);
   return out;
 }
 
 void ParSpectralTransform::synthesize_batch(
     const std::vector<const SpectralField*>& ss,
     const std::vector<Field2Dd*>& outs) const {
-  FOAM_REQUIRE(ss.size() == outs.size(), "batch size mismatch");
   FOAM_TRACE_SCOPE("spectral.synthesize_batch");
-  note_batch(serial_.mode() == SpectralMode::kEngine, ss.size(),
-             my_lats_.size());
-  if (serial_.mode() == SpectralMode::kEngine) {
-    serial_.engine_synthesize(pairing_, ss, outs, ws_);
-  } else {
-    for (std::size_t f = 0; f < ss.size(); ++f) synthesize(*ss[f], *outs[f]);
-  }
+  note_batch(ss.size(), my_lats_.size());
+  serial_.engine_synthesize(pairing_, ss, outs, ws_);
 }
 
 std::vector<SpectralField> ParSpectralTransform::analyze_div_batch(
     par::Comm& comm, const std::vector<const Field2Dd*>& As,
     const std::vector<const Field2Dd*>& Bs) const {
-  FOAM_REQUIRE(As.size() == Bs.size(), "batch size mismatch");
   FOAM_TRACE_SCOPE("spectral.analyze_div_batch");
-  note_batch(serial_.mode() == SpectralMode::kEngine, As.size(),
-             my_lats_.size());
-  std::vector<SpectralField> out(As.size());
-  for (auto& s : out) s = SpectralField(serial_.mmax(), serial_.kmax());
-  if (serial_.mode() == SpectralMode::kEngine) {
-    serial_.engine_analyze_vec(pairing_, /*curl=*/false, As, Bs, out, ws_);
-    allreduce_fused(comm, out);
-  } else {
-    for (std::size_t f = 0; f < As.size(); ++f)
-      out[f] = analyze_div(comm, *As[f], *Bs[f]);
-  }
+  note_batch(As.size(), my_lats_.size());
+  auto out = serial_.engine_analyze_vec(pairing_, /*curl=*/false, As, Bs, ws_);
+  allreduce_fused(comm, out);
   return out;
 }
 
 std::vector<SpectralField> ParSpectralTransform::analyze_curl_batch(
     par::Comm& comm, const std::vector<const Field2Dd*>& As,
     const std::vector<const Field2Dd*>& Bs) const {
-  FOAM_REQUIRE(As.size() == Bs.size(), "batch size mismatch");
   FOAM_TRACE_SCOPE("spectral.analyze_curl_batch");
-  note_batch(serial_.mode() == SpectralMode::kEngine, As.size(),
-             my_lats_.size());
-  std::vector<SpectralField> out(As.size());
-  for (auto& s : out) s = SpectralField(serial_.mmax(), serial_.kmax());
-  if (serial_.mode() == SpectralMode::kEngine) {
-    serial_.engine_analyze_vec(pairing_, /*curl=*/true, As, Bs, out, ws_);
-    allreduce_fused(comm, out);
-  } else {
-    for (std::size_t f = 0; f < As.size(); ++f)
-      out[f] = analyze_curl(comm, *As[f], *Bs[f]);
-  }
+  note_batch(As.size(), my_lats_.size());
+  auto out = serial_.engine_analyze_vec(pairing_, /*curl=*/true, As, Bs, ws_);
+  allreduce_fused(comm, out);
   return out;
 }
 
@@ -992,18 +725,9 @@ void ParSpectralTransform::uv_from_psi_chi_batch(
     const std::vector<const SpectralField*>& psis,
     const std::vector<const SpectralField*>& chis,
     const std::vector<Field2Dd*>& Us, const std::vector<Field2Dd*>& Vs) const {
-  FOAM_REQUIRE(psis.size() == chis.size() && psis.size() == Us.size() &&
-                   psis.size() == Vs.size(),
-               "batch size mismatch");
   FOAM_TRACE_SCOPE("spectral.uv_batch");
-  note_batch(serial_.mode() == SpectralMode::kEngine, psis.size(),
-             my_lats_.size());
-  if (serial_.mode() == SpectralMode::kEngine) {
-    serial_.engine_uv(pairing_, psis, chis, Us, Vs, ws_);
-  } else {
-    for (std::size_t f = 0; f < psis.size(); ++f)
-      uv_from_psi_chi(*psis[f], *chis[f], *Us[f], *Vs[f]);
-  }
+  note_batch(psis.size(), my_lats_.size());
+  serial_.engine_uv(pairing_, psis, chis, Us, Vs, ws_);
 }
 
 }  // namespace foam::numerics

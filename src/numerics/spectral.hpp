@@ -14,22 +14,22 @@
 /// derivative is ever taken (the standard transform-method trick that also
 /// shapes the parallel data flow).
 ///
-/// Two implementations share this interface, selected by SpectralMode:
+/// One implementation serves every entry point: the plan-based engine —
+/// allocation-free iterative real FFT (FftPlan), equatorial-symmetry
+/// folding of the Legendre sums (Pbar_n^m(-mu) = (-1)^{n+m} Pbar_n^m(mu), so
+/// north/south latitude pairs fold into even/odd-parity contributions and
+/// the Legendre flops halve), and contiguous panel kernels over the
+/// LegendreTable rows. The *_batch entry points transform many fields per
+/// pass, amortizing FFT plans and Legendre panel loads (and, in
+/// ParSpectralTransform, fusing the per-field allreduces into one
+/// collective); a single-field call is a batch of one through the same
+/// kernel. Every entry point rejects a field whose shape does not match the
+/// grid or the truncation with foam::Error before touching it.
 ///
-///  * kReference — the correctness-first scalar loops (per-row recursive
-///    FFT, full (m,k,j) Legendre triple loops). Kept as the A/B baseline.
-///  * kEngine (default) — the plan-based engine: allocation-free iterative
-///    real FFT (FftPlan), equatorial-symmetry folding of the Legendre sums
-///    (Pbar_n^m(-mu) = (-1)^{n+m} Pbar_n^m(mu), so north/south latitude
-///    pairs fold into even/odd-parity contributions and the Legendre flops
-///    halve), and contiguous panel kernels over the LegendreTable rows.
-///    The *_batch entry points transform many fields per pass, amortizing
-///    FFT plans and Legendre panel loads (and, in ParSpectralTransform,
-///    fusing the per-field allreduces into one collective).
-///
-/// Engine results agree with the reference to <= 1e-12 relative (the
-/// folding reassociates the latitude sum; the complex FFT stages are
-/// bitwise identical).
+/// The straight-line scalar transform (per-row recursive Fft, full
+/// (m, k, j) Legendre sums) is a test-side oracle
+/// (tests/numerics/spectral_oracle.*); the engine agrees with it to
+/// <= 1e-12 relative (the folding reassociates the latitude sum).
 ///
 /// Engine entry points are const and thread-safe as long as each thread
 /// uses its own SpectralWorkspace (the overloads without a workspace
@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "base/field.hpp"
-#include "numerics/fft.hpp"
 #include "numerics/fft_plan.hpp"
 #include "numerics/grid.hpp"
 #include "numerics/legendre.hpp"
@@ -102,9 +101,6 @@ class SpectralField {
   std::vector<std::complex<double>> c_;
 };
 
-/// Implementation selector for the transform entry points (A/B toggle).
-enum class SpectralMode { kReference, kEngine };
-
 /// Reusable scratch for the plan-based engine: FFT workspace, Fourier-row
 /// and parity-fold buffers. All storage grows on first use and is reused
 /// afterwards, making repeated engine transforms allocation-free. One
@@ -116,14 +112,12 @@ class SpectralWorkspace {
  private:
   friend class SpectralTransform;
   friend class ParSpectralTransform;
-  friend class TransposeSpectralTransform;
   std::vector<std::complex<double>> fft;    // FftPlan ping-pong workspace
   std::vector<double> row;                  // one real latitude row
   std::vector<std::complex<double>> spec;   // n/2+1 rFFT coefficients
   std::vector<std::complex<double>> fm_a, fm_b, fm_c, fm_d;  // Fourier modes
   std::vector<std::complex<double>> fold_pe, fold_po;  // P-term folds [f][m]
   std::vector<std::complex<double>> fold_he, fold_ho;  // H-term folds [f][m]
-  std::vector<std::complex<double>> acc;    // per-m Legendre accumulators
   std::vector<double> reduce;               // fused-allreduce packing
 };
 
@@ -131,15 +125,11 @@ class SpectralWorkspace {
 class SpectralTransform {
  public:
   /// Rhomboidal truncation R(mmax): kmax = mmax + 1 degrees per m.
-  SpectralTransform(const GaussianGrid& grid, int mmax,
-                    SpectralMode mode = SpectralMode::kEngine);
+  SpectralTransform(const GaussianGrid& grid, int mmax);
 
   int mmax() const { return mmax_; }
   int kmax() const { return kmax_; }
   const GaussianGrid& grid() const { return grid_; }
-
-  SpectralMode mode() const { return mode_; }
-  void set_mode(SpectralMode mode) { mode_ = mode; }
 
   /// Scalar analysis: grid -> spectral.
   SpectralField analyze(const Field2Dd& f) const;
@@ -165,9 +155,7 @@ class SpectralTransform {
 
   /// --- Batched multi-field entry points -------------------------------
   /// Transform every field of a step in one pass: the Legendre panels are
-  /// loaded once per latitude pair and reused across the batch. Under
-  /// kReference these loop the single-field reference paths (A/B
-  /// comparability); under kEngine they run the folded panel kernels.
+  /// loaded once per latitude pair and reused across the batch.
 
   std::vector<SpectralField> analyze_batch(
       const std::vector<const Field2Dd*>& fs, SpectralWorkspace& ws) const;
@@ -203,7 +191,6 @@ class SpectralTransform {
 
  private:
   friend class ParSpectralTransform;
-  friend class TransposeSpectralTransform;
 
   /// Latitude rows grouped for equatorial-symmetry folding: mirror pairs
   /// (js, jn) with mu[jn] == -mu[js], plus unpaired rows (the equator row
@@ -216,36 +203,28 @@ class SpectralTransform {
                                  std::span<const int> lats);
 
   /// Fourier analysis of one latitude row (truncated to mmax+1 modes, with
-  /// the 1/nlon normalization folded in).
-  void fourier_row(const Field2Dd& f, int j,
-                   std::vector<std::complex<double>>& fm) const;
-  /// Inverse: place mmax+1 Fourier modes into grid row j.
-  void inv_fourier_row(const std::vector<std::complex<double>>& fm,
-                       Field2Dd& f, int j) const;
-
-  /// Plan-based row transforms (allocation-free given a warm workspace).
+  /// the 1/nlon normalization folded in) and its inverse, which places
+  /// mmax+1 modes into grid row j. Allocation-free given a warm workspace.
   void fourier_row_plan(const Field2Dd& f, int j, std::complex<double>* fm,
                         SpectralWorkspace& ws) const;
   void inv_fourier_row_plan(const std::complex<double>* fm, Field2Dd& f,
                             int j, SpectralWorkspace& ws) const;
 
   /// Engine kernels over an arbitrary row grouping (serial uses the full
-  /// grid's pairing; the parallel variants pass their owned rows).
-  /// Analysis kernels accumulate into zero-initialized outputs; synthesis
-  /// kernels write only the rows named by the pairing.
-  void engine_analyze(const LatPairing& lp,
-                      const std::vector<const Field2Dd*>& fs,
-                      std::vector<SpectralField>& out,
-                      SpectralWorkspace& ws) const;
+  /// grid's pairing; the parallel variants pass their owned rows). Each
+  /// first checks every field's shape and the batch sizes, once per call.
+  /// Analysis kernels return zero-initialized coefficients accumulated
+  /// over the pairing's rows; synthesis kernels write only those rows.
+  std::vector<SpectralField> engine_analyze(
+      const LatPairing& lp, const std::vector<const Field2Dd*>& fs,
+      SpectralWorkspace& ws) const;
   void engine_synthesize(const LatPairing& lp,
                          const std::vector<const SpectralField*>& ss,
                          const std::vector<Field2Dd*>& outs,
                          SpectralWorkspace& ws) const;
-  void engine_analyze_vec(const LatPairing& lp, bool curl,
-                          const std::vector<const Field2Dd*>& As,
-                          const std::vector<const Field2Dd*>& Bs,
-                          std::vector<SpectralField>& out,
-                          SpectralWorkspace& ws) const;
+  std::vector<SpectralField> engine_analyze_vec(
+      const LatPairing& lp, bool curl, const std::vector<const Field2Dd*>& As,
+      const std::vector<const Field2Dd*>& Bs, SpectralWorkspace& ws) const;
   void engine_uv(const LatPairing& lp,
                  const std::vector<const SpectralField*>& psis,
                  const std::vector<const SpectralField*>& chis,
@@ -256,9 +235,7 @@ class SpectralTransform {
   const GaussianGrid& grid_;
   int mmax_;
   int kmax_;
-  SpectralMode mode_;
-  Fft fft_;        // reference recursive FFT
-  FftPlan plan_;   // engine iterative plan
+  FftPlan plan_;
   LegendreTable table_;
   LatPairing pairing_;  // full-grid mirror pairs
 };
@@ -267,7 +244,8 @@ class SpectralTransform {
 /// rows (as produced by par::paired_latitudes or any partition); analysis
 /// ends with an allreduce so every rank holds the full spectral state, and
 /// synthesis fills only the rank's own rows of the output field (other rows
-/// are left untouched).
+/// are left untouched). Every grid field, input or output, is full-grid
+/// (nlon x nlat) shaped.
 ///
 /// The instance carries its own SpectralWorkspace, so it is cheap to call
 /// repeatedly but must not be shared across ranks/threads (each rank
@@ -308,9 +286,9 @@ class ParSpectralTransform {
                              const std::vector<Field2Dd*>& Vs) const;
 
  private:
-  void allreduce_spectral(par::Comm& comm, SpectralField& s) const;
-  /// One collective for the whole batch: pack every field's partial sums
-  /// into the workspace buffer, allreduce in place, unpack.
+  /// One collective for the whole batch: a single field reduces in place
+  /// over its coefficient storage; several are packed into the workspace
+  /// buffer, allreduced in place and unpacked.
   void allreduce_fused(par::Comm& comm,
                        std::vector<SpectralField>& fields) const;
   const SpectralTransform& serial_;

@@ -1381,8 +1381,8 @@ void OceanModel::step() {
 }
 
 void OceanModel::run_days(double days) {
-  const std::int64_t n =
-      static_cast<std::int64_t>(std::llround(days * 86400.0 / cfg_.dt_mom));
+  const std::int64_t n = static_cast<std::int64_t>(
+      std::llround(days * constants::seconds_per_day / cfg_.dt_mom));
   for (std::int64_t i = 0; i < n; ++i) step();
 }
 

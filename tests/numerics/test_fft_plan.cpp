@@ -1,11 +1,13 @@
-// Tests for the plan-based FFT (FftPlan) and the engine/reference agreement
-// of the spectral transform's batched entry points.
+// Tests for the plan-based FFT (FftPlan) and the agreement of every spectral
+// transform entry point with the straight-line test-side oracle.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <random>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "numerics/fft.hpp"
 #include "numerics/fft_plan.hpp"
 #include "numerics/spectral.hpp"
+#include "spectral_oracle.hpp"
 
 namespace fn = foam::numerics;
 using cplx = std::complex<double>;
@@ -265,12 +268,20 @@ TEST(FftPlan, PrimeDirectFallback) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine vs reference over the batched spectral entry points.
+// Engine vs the straight-line oracle over every spectral entry point.
 
 namespace {
 
-class EngineAgreement : public ::testing::TestWithParam<std::pair<int, int>> {
+/// A Gaussian grid and its truncation; tests are named by the grid alone.
+struct AgreementCase {
+  int nlon, nlat, mmax;
 };
+
+void PrintTo(const AgreementCase& c, std::ostream* os) {
+  *os << "(" << c.nlon << ", " << c.nlat << ")";
+}
+
+class EngineAgreement : public ::testing::TestWithParam<AgreementCase> {};
 
 Field2Dd wavy(const fn::GaussianGrid& grid, int which) {
   Field2Dd f(grid.nlon(), grid.nlat());
@@ -307,16 +318,20 @@ void expect_grid_near(const Field2Dd& a, const Field2Dd& b, double tol) {
 
 }  // namespace
 
-// Even nlat (all rows mirror-paired) and odd nlat (unpaired equator row).
+// Even nlat (all rows mirror-paired) and odd nlat (unpaired equator row) at
+// R7, then the model's R15 and the R31 grid.
 INSTANTIATE_TEST_SUITE_P(Grids, EngineAgreement,
-                         ::testing::Values(std::pair<int, int>{24, 20},
-                                           std::pair<int, int>{24, 11}));
+                         ::testing::Values(AgreementCase{24, 20, 7},
+                                           AgreementCase{24, 11, 7},
+                                           AgreementCase{48, 40, 15},
+                                           AgreementCase{96, 80, 31}));
 
 TEST_P(EngineAgreement, AllBatchEntryPoints) {
-  const auto [nlon, nlat] = GetParam();
-  const int mmax = 7;
+  const auto [nlon, nlat, mmax] = GetParam();
   const fn::GaussianGrid grid(nlon, nlat);
-  fn::SpectralTransform st(grid, mmax, fn::SpectralMode::kReference);
+  const fn::SpectralTransform st(grid, mmax);
+  const fn::LegendreTable table(mmax, mmax + 1, grid.mus());
+  const fn::Fft fft(nlon);
   fn::SpectralWorkspace ws;
   const double tol = 1e-12;
 
@@ -332,59 +347,52 @@ TEST_P(EngineAgreement, AllBatchEntryPoints) {
     b_ptrs.push_back(&Bs[f]);
   }
 
-  // Reference results (batch under kReference loops the reference paths).
-  const auto s_ref = st.analyze_batch(a_ptrs, ws);
-  const auto d_ref = st.analyze_div_batch(a_ptrs, b_ptrs, ws);
-  const auto c_ref = st.analyze_curl_batch(a_ptrs, b_ptrs, ws);
-  std::vector<const fn::SpectralField*> s_ptrs;
-  for (const auto& s : s_ref) s_ptrs.push_back(&s);
-  std::vector<Field2Dd> g_ref(batch, Field2Dd(nlon, nlat));
-  std::vector<Field2Dd*> gr_ptrs;
-  for (auto& g : g_ref) gr_ptrs.push_back(&g);
-  st.synthesize_batch(s_ptrs, gr_ptrs, ws);
-  std::vector<Field2Dd> u_ref(batch, Field2Dd(nlon, nlat)),
-      v_ref(batch, Field2Dd(nlon, nlat));
-  std::vector<Field2Dd*> ur_ptrs, vr_ptrs;
-  for (int f = 0; f < batch; ++f) {
-    ur_ptrs.push_back(&u_ref[f]);
-    vr_ptrs.push_back(&v_ref[f]);
-  }
-  // psi/chi from the analyzed fields (d_ref as chi exercise both terms).
-  std::vector<const fn::SpectralField*> psi_ptrs, chi_ptrs;
-  for (int f = 0; f < batch; ++f) {
-    psi_ptrs.push_back(&s_ref[f]);
-    chi_ptrs.push_back(&c_ref[f]);
-  }
-  st.uv_from_psi_chi_batch(psi_ptrs, chi_ptrs, ur_ptrs, vr_ptrs, ws);
-
-  // Engine results.
-  st.set_mode(fn::SpectralMode::kEngine);
+  // Engine results through the batched entry points.
   const auto s_eng = st.analyze_batch(a_ptrs, ws);
   const auto d_eng = st.analyze_div_batch(a_ptrs, b_ptrs, ws);
   const auto c_eng = st.analyze_curl_batch(a_ptrs, b_ptrs, ws);
-  std::vector<Field2Dd> g_eng(batch, Field2Dd(nlon, nlat));
-  std::vector<Field2Dd*> ge_ptrs;
-  for (auto& g : g_eng) ge_ptrs.push_back(&g);
-  st.synthesize_batch(s_ptrs, ge_ptrs, ws);
-  std::vector<Field2Dd> u_eng(batch, Field2Dd(nlon, nlat)),
-      v_eng(batch, Field2Dd(nlon, nlat));
-  std::vector<Field2Dd*> ue_ptrs, ve_ptrs;
+  std::vector<const fn::SpectralField*> s_ptrs, psi_ptrs, chi_ptrs;
   for (int f = 0; f < batch; ++f) {
-    ue_ptrs.push_back(&u_eng[f]);
-    ve_ptrs.push_back(&v_eng[f]);
+    s_ptrs.push_back(&s_eng[f]);
+    // psi/chi from the analyzed fields (the curl as chi exercises both
+    // terms).
+    psi_ptrs.push_back(&s_eng[f]);
+    chi_ptrs.push_back(&c_eng[f]);
   }
-  st.uv_from_psi_chi_batch(psi_ptrs, chi_ptrs, ue_ptrs, ve_ptrs, ws);
+  std::vector<Field2Dd> g_eng(batch), u_eng(batch), v_eng(batch);
+  std::vector<Field2Dd*> g_ptrs, u_ptrs, v_ptrs;
+  for (int f = 0; f < batch; ++f) {
+    g_ptrs.push_back(&g_eng[f]);
+    u_ptrs.push_back(&u_eng[f]);
+    v_ptrs.push_back(&v_eng[f]);
+  }
+  st.synthesize_batch(s_ptrs, g_ptrs, ws);
+  st.uv_from_psi_chi_batch(psi_ptrs, chi_ptrs, u_ptrs, v_ptrs, ws);
 
   for (int f = 0; f < batch; ++f) {
-    expect_spec_near(s_ref[f], s_eng[f], tol);
-    expect_spec_near(d_ref[f], d_eng[f], tol);
-    expect_spec_near(c_ref[f], c_eng[f], tol);
-    expect_grid_near(g_ref[f], g_eng[f], tol);
-    expect_grid_near(u_ref[f], u_eng[f], tol);
-    expect_grid_near(v_ref[f], v_eng[f], tol);
+    expect_spec_near(fn::oracle::analyze(grid, table, fft, As[f]), s_eng[f],
+                     tol);
+    expect_spec_near(fn::oracle::analyze_div(grid, table, fft, As[f], Bs[f]),
+                     d_eng[f], tol);
+    expect_spec_near(
+        fn::oracle::analyze_curl(grid, table, fft, As[f], Bs[f]), c_eng[f],
+        tol);
+    expect_grid_near(fn::oracle::synthesize(grid, table, fft, s_eng[f]),
+                     g_eng[f], tol);
+    Field2Dd u_ref, v_ref;
+    fn::oracle::uv_from_psi_chi(grid, table, fft, s_eng[f], c_eng[f], u_ref,
+                                v_ref);
+    expect_grid_near(u_ref, u_eng[f], tol);
+    expect_grid_near(v_ref, v_eng[f], tol);
   }
 
-  // Single-field entry points agree with their batch-of-one selves.
-  const fn::SpectralField s1 = st.analyze(As[0], ws);
-  expect_spec_near(s1, s_eng[0], 0.0);
+  // Single-field entry points are batches of one through the same kernel.
+  expect_spec_near(st.analyze(As[0], ws), s_eng[0], 0.0);
+  expect_spec_near(st.analyze_div(As[0], Bs[0]), d_eng[0], 0.0);
+  expect_spec_near(st.analyze_curl(As[0], Bs[0]), c_eng[0], 0.0);
+  expect_grid_near(st.synthesize(s_eng[0], ws), g_eng[0], 0.0);
+  Field2Dd u1, v1;
+  st.uv_from_psi_chi(s_eng[0], c_eng[0], u1, v1);
+  expect_grid_near(u1, u_eng[0], 0.0);
+  expect_grid_near(v1, v_eng[0], 0.0);
 }

@@ -176,6 +176,60 @@ TEST(Spectral, RejectsTooCoarseGrids) {
   EXPECT_THROW(SpectralTransform(tiny, 15), Error);  // nlon < 3*15+1
 }
 
+// Every entry point checks its fields against the grid and the truncation
+// before the kernel indexes them, in Release builds too (Field2Dd and
+// SpectralField bounds are debug-only assertions).
+TEST(Spectral, EveryEntryPointRejectsMisshapenFields) {
+  R15 r;
+  SpectralWorkspace ws;
+  const Field2Dd g(48, 40, 1.0);
+  const Field2Dd short_g(48, 39, 1.0);  // one latitude row missing
+  const SpectralField s(15, 16);
+  const SpectralField short_k(15, 15);  // right mmax, wrong kmax
+  const SpectralField short_m(14, 16);
+  Field2Dd U, V;
+
+  EXPECT_THROW(r.st.analyze(short_g), Error);
+  EXPECT_THROW(r.st.analyze(short_g, ws), Error);
+  EXPECT_THROW(r.st.synthesize(short_k), Error);
+  EXPECT_THROW(r.st.synthesize(short_m, ws), Error);
+  EXPECT_THROW(r.st.analyze_div(short_g, g), Error);
+  EXPECT_THROW(r.st.analyze_div(g, short_g), Error);
+  EXPECT_THROW(r.st.analyze_curl(short_g, g), Error);
+  EXPECT_THROW(r.st.analyze_curl(g, short_g), Error);
+  EXPECT_THROW(r.st.uv_from_psi_chi(short_k, s, U, V), Error);
+  EXPECT_THROW(r.st.uv_from_psi_chi(s, short_k, U, V), Error);
+  EXPECT_THROW(r.st.analyze_batch({&g, &short_g}, ws), Error);
+  EXPECT_THROW(r.st.synthesize_batch({&s, &short_k}, {&U, &V}, ws), Error);
+  EXPECT_THROW(r.st.analyze_div_batch({&g}, {&short_g}, ws), Error);
+  EXPECT_THROW(r.st.analyze_curl_batch({&short_g}, {&g}, ws), Error);
+  EXPECT_THROW(r.st.uv_from_psi_chi_batch({&s}, {&short_m}, {&U}, {&V}, ws),
+               Error);
+
+  // Every rank sees the same bad call and rejects it before the allreduce.
+  par::run(2, [&](par::Comm& comm) {
+    const auto owned = par::paired_latitudes(40, comm.size());
+    ParSpectralTransform pst(r.st, owned[comm.rank()]);
+    Field2Dd out(48, 40), out2(48, 40), short_out(48, 39);
+    EXPECT_THROW(pst.analyze(comm, short_g), Error);
+    EXPECT_THROW(pst.synthesize(short_k, out), Error);
+    EXPECT_THROW(pst.synthesize(s, short_out), Error);
+    EXPECT_THROW(pst.analyze_div(comm, short_g, g), Error);
+    EXPECT_THROW(pst.analyze_curl(comm, g, short_g), Error);
+    EXPECT_THROW(pst.uv_from_psi_chi(s, short_k, out, out2), Error);
+    EXPECT_THROW(pst.uv_from_psi_chi(s, s, out, short_out), Error);
+    EXPECT_THROW(pst.analyze_batch(comm, {&g, &short_g}), Error);
+    EXPECT_THROW(pst.synthesize_batch({&s}, {&short_out}), Error);
+    EXPECT_THROW(pst.analyze_div_batch(comm, {&short_g}, {&g}), Error);
+    EXPECT_THROW(pst.analyze_curl_batch(comm, {&g}, {&short_g}), Error);
+    EXPECT_THROW(
+        pst.uv_from_psi_chi_batch({&short_m}, {&s}, {&out}, {&out2}), Error);
+    // The rejected calls left the transform usable.
+    const SpectralField ok = pst.analyze(comm, g);
+    EXPECT_NEAR(ok.at(0, 0).real(), 1.0, 1e-12);
+  });
+}
+
 class ParSpectralRanks : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParSpectralRanks, MatchesSerialTransform) {
