@@ -9,8 +9,9 @@
 // This bench runs the same placement (scaled to the host: the runtime
 // multiplexes ranks onto the available cores, so on a single-core host the
 // per-rank *fractions* are the meaningful output, not wall concurrency)
-// and prints the per-rank timeline and aggregate shares. Each placement is
-// run twice — blocking exchange, then comm/compute overlap — so the
+// and prints the per-rank shares (the tracer's region totals) and, where
+// the run gathered region spans, the per-rank timeline bar. Each placement
+// is run twice — blocking exchange, then comm/compute overlap — so the
 // "comm-wait" column shows the atmosphere rank's exchange stall shrinking
 // when the SST reply is left in flight across the next interval.
 //
@@ -21,11 +22,12 @@
 //  * a full-trace run exports TRACE_time_allocation.json (Chrome
 //    trace-event format, loadable in ui.perfetto.dev), self-validated
 //    here: strict JSON, >= 4 ranks present as distinct tids, nested spans
-//    recorded, and span-derived region totals matching the flat timeline
-//    totals within 1%.
+//    recorded;
+//  * a profiled run's sampled region times must match the tracer's region
+//    totals (attribution).
 //
-// FOAM_BENCH_QUICK=1 shortens the run (0.25 day, largest placement
-// skipped) for CI smoke use.
+// FOAM_BENCH_QUICK=1 shortens the runs (0.25 day, 0.5 day for the
+// attribution run, largest placement skipped) for CI smoke use.
 
 #include <algorithm>
 #include <cmath>
@@ -44,12 +46,43 @@ using namespace foam;
 
 namespace {
 
+/// Fig. 2 bar character of a region class.
+char region_char(par::Region r) {
+  switch (r) {
+    case par::Region::kAtmosphere: return 'a';
+    case par::Region::kCoupler: return 'c';
+    case par::Region::kOcean: return 'o';
+    case par::Region::kCommWait: return 'w';
+    default: return '.';
+  }
+}
+
+/// A rank's timeline as a 60-char bar drawn from its depth-0 region spans,
+/// which complete (and so are stored) in time order.
+std::string timeline_bar(const telemetry::RankTrace& t) {
+  std::vector<const telemetry::SpanRec*> regions;
+  for (const auto& s : t.spans)
+    if (s.depth == 0 && s.t1 > s.t0) regions.push_back(&s);
+  std::string bar(60, '.');
+  if (regions.empty()) return bar;
+  const double t_end = regions.back()->t1;
+  std::size_t i = 0;
+  for (int x = 0; x < 60; ++x) {
+    const double t = (x + 0.5) / 60.0 * t_end;
+    while (i < regions.size() && regions[i]->t1 <= t) ++i;
+    if (i < regions.size() && t >= regions[i]->t0)
+      bar[x] = region_char(regions[i]->region);
+  }
+  return bar;
+}
+
 /// \p level is the telemetry depth for the run. Returns the lead
 /// atmosphere rank's busy seconds; with \p capture the world-rank-0 result
-/// (timelines, traces, metrics) is copied out.
+/// (region totals, traces, metrics) is copied out. Rows go to \p json
+/// unless it is null.
 double run_placement(int n_atm, int n_ocean, double days, bool overlap,
                      telemetry::TraceLevel level,
-                     bench::BenchJson& json,
+                     bench::BenchJson* json,
                      ParallelRunResult* capture = nullptr, int rep = 0,
                      bool audit = false,
                      const telemetry::ObservabilityOptions* observe =
@@ -91,57 +124,34 @@ double run_placement(int n_atm, int n_ocean, double days, bool overlap,
     std::printf("simulated %.2f h in %.1f s wall => speedup %.0fx\n",
                 res.simulated_seconds / 3600.0, res.wall_seconds,
                 res.speedup());
-    std::printf(
-        "%-6s %9s %9s %9s %9s %9s   bar (a=atm c=coupler o=ocean w=wait "
-        ".=idle)\n",
-        "rank", "atm%", "coupler%", "ocean%", "wait%", "idle%");
+    // The bar needs region spans, gathered at kRegions and kFull only; at
+    // kOff the shares come from the region totals alone.
+    const bool bars = !res.traces.empty();
+    std::printf("%-6s %9s %9s %9s %9s %9s%s\n", "rank", "atm%", "coupler%",
+                "ocean%", "wait%", "idle%",
+                bars ? "   bar (a=atm c=coupler o=ocean w=wait .=idle)" : "");
+    double rank0_total = 0.0;
     for (int r = 0; r < world; ++r) {
       double tot[par::kRegionCount] = {0};
       double sum = 0.0;
-      for (const auto& seg : res.timelines[r]) {
-        tot[static_cast<int>(seg.region)] += seg.t1 - seg.t0;
-        sum += seg.t1 - seg.t0;
+      for (int g = 0; g < par::kRegionCount; ++g) {
+        tot[g] = res.region_seconds(r, static_cast<par::Region>(g));
+        sum += tot[g];
       }
+      if (r == 0) rank0_total = sum;
       if (sum <= 0.0) sum = 1.0;
-      // Render the timeline as a 60-char bar in recorded order.
-      char bar[61];
-      const double t_end = res.timelines[r].empty()
-                               ? 1.0
-                               : res.timelines[r].back().t1;
-      for (int x = 0; x < 60; ++x) {
-        const double t = (x + 0.5) / 60.0 * t_end;
-        char ch = '.';
-        for (const auto& seg : res.timelines[r]) {
-          if (t >= seg.t0 && t < seg.t1) {
-            switch (seg.region) {
-              case par::Region::kAtmosphere: ch = 'a'; break;
-              case par::Region::kCoupler: ch = 'c'; break;
-              case par::Region::kOcean: ch = 'o'; break;
-              case par::Region::kCommWait: ch = 'w'; break;
-              default: ch = '.'; break;
-            }
-            break;
-          }
-        }
-        bar[x] = ch;
-      }
-      bar[60] = '\0';
-      std::printf("%-6d %8.1f%% %8.1f%% %8.1f%% %8.1f%% %8.1f%%   %s\n", r,
+      std::printf("%-6d %8.1f%% %8.1f%% %8.1f%% %8.1f%% %8.1f%%%s%s\n", r,
                   100.0 * tot[0] / sum, 100.0 * tot[1] / sum,
                   100.0 * tot[2] / sum,
                   100.0 * tot[static_cast<int>(par::Region::kCommWait)] /
                       sum,
-                  100.0 * tot[3] / sum, bar);
+                  100.0 * tot[3] / sum, bars ? "   " : "",
+                  bars ? timeline_bar(res.traces[r]).c_str() : "");
     }
     // The paper's observation: one ocean rank keeps up with the atmosphere
     // ranks when the atmosphere dominates the cost.
-    double atm_busy = 0.0, ocean_busy = 0.0, rank0_total = 0.0;
-    for (const auto& seg : res.timelines[0]) {
-      if (seg.region == par::Region::kAtmosphere) atm_busy += seg.t1 - seg.t0;
-      rank0_total += seg.t1 - seg.t0;
-    }
-    for (const auto& seg : res.timelines[n_atm])
-      if (seg.region == par::Region::kOcean) ocean_busy += seg.t1 - seg.t0;
+    const double atm_busy = res.region_seconds(0, par::Region::kAtmosphere);
+    const double ocean_busy = res.region_seconds(n_atm, par::Region::kOcean);
     std::printf("busy time: atmosphere rank 0 = %.2fs, ocean rank = %.2fs "
                 "(ocean keeps up: %s); atm rank 0 comm-wait = %.2fs\n",
                 atm_busy, ocean_busy,
@@ -161,10 +171,12 @@ double run_placement(int n_atm, int n_ocean, double days, bool overlap,
       {"verify", audit ? "audit" : "off"},
       {"observe", obs_label}};
   if (rep > 0) jcfg.push_back({"rep", rep});
-  json.add("atm_busy_seconds", atm_busy_out, "s", jcfg);
-  json.add("atm_busy_share", atm_share_out, "fraction", jcfg);
-  json.add("ocean_busy_seconds", ocean_busy_out, "s", jcfg);
-  json.add("atm_commwait_seconds", wait_out, "s", jcfg);
+  if (json != nullptr) {
+    json->add("atm_busy_seconds", atm_busy_out, "s", jcfg);
+    json->add("atm_busy_share", atm_share_out, "fraction", jcfg);
+    json->add("ocean_busy_seconds", ocean_busy_out, "s", jcfg);
+    json->add("atm_commwait_seconds", wait_out, "s", jcfg);
+  }
   return atm_busy_out;
 }
 
@@ -173,23 +185,6 @@ double run_placement(int n_atm, int n_ocean, double days, bool overlap,
 void export_and_check_trace(const ParallelRunResult& res, int n_atm,
                             bench::BenchJson& json) {
   const int world = static_cast<int>(res.traces.size());
-
-  // Span-derived per-region totals must agree with the flat recorder's
-  // (both views come from the same begin/end events; only clock-read
-  // jitter separates them).
-  for (int r = 0; r < world; ++r) {
-    for (int reg = 0; reg < par::kRegionCount; ++reg) {
-      const auto region = static_cast<par::Region>(reg);
-      const double flat_total = res.region_seconds(r, region);
-      if (flat_total < 0.05) continue;
-      const double span_total = res.span_region_seconds(r, region);
-      FOAM_REQUIRE(std::abs(span_total - flat_total) <=
-                       0.01 * flat_total + 1e-3,
-                   "span/timeline mismatch rank "
-                       << r << " region " << par::region_name(region) << ": "
-                       << span_total << "s vs " << flat_total << "s");
-    }
-  }
 
   // Every rank must have recorded spans, and the atmosphere ranks nested
   // ones (component FOAM_TRACE_SCOPEs inside the region spans).
@@ -254,13 +249,13 @@ int main() {
   // the overlapped exchange, for the exchange A/B.
   if (!quick)
     for (const bool overlap : {false, true})
-      run_placement(8, 1, days, overlap, TraceLevel::kRegions, json);
-  run_placement(4, 1, days, /*overlap=*/false, TraceLevel::kRegions, json);
+      run_placement(8, 1, days, overlap, TraceLevel::kRegions, &json);
+  run_placement(4, 1, days, /*overlap=*/false, TraceLevel::kRegions, &json);
 
   // --- telemetry overhead gate: regions-only tracing vs tracing off on
-  // the same placement. Both runs keep the flat Fig. 2 recorder (that is
-  // the pre-telemetry baseline); the delta isolates the hierarchical
-  // tracer's cost. Busy seconds rather than wall seconds: barrier skew
+  // the same placement. Both levels keep the region totals (the tracer
+  // sums them at every level); the delta isolates the cost of recording
+  // the region spans. Busy seconds rather than wall seconds: barrier skew
   // lands in idle/wait and would drown the signal. The ranks are threads
   // multiplexed over the host cores, so a single-shot measurement carries
   // scheduler noise far above the tracer cost; contention only ever adds
@@ -270,9 +265,9 @@ int main() {
   double busy_off = 0.0, busy_regions = 0.0;
   for (int rep = 1; rep <= 3; ++rep) {
     const double off = run_placement(4, 1, days, /*overlap=*/true,
-                                     TraceLevel::kOff, json, nullptr, rep);
+                                     TraceLevel::kOff, &json, nullptr, rep);
     const double reg = run_placement(4, 1, days, /*overlap=*/true,
-                                     TraceLevel::kRegions, json, nullptr,
+                                     TraceLevel::kRegions, &json, nullptr,
                                      rep);
     busy_off = rep == 1 ? off : std::min(busy_off, off);
     busy_regions = rep == 1 ? reg : std::min(busy_regions, reg);
@@ -298,7 +293,7 @@ int main() {
   double busy_audit = 0.0;
   for (int rep = 1; rep <= 3; ++rep) {
     const double aud = run_placement(4, 1, days, /*overlap=*/true,
-                                     TraceLevel::kOff, json, nullptr, rep,
+                                     TraceLevel::kOff, &json, nullptr, rep,
                                      /*audit=*/true);
     busy_audit = rep == 1 ? aud : std::min(busy_audit, aud);
   }
@@ -323,7 +318,7 @@ int main() {
   double busy_live = 0.0;
   for (int rep = 1; rep <= 3; ++rep) {
     const double b = run_placement(4, 1, days, /*overlap=*/true,
-                                   TraceLevel::kOff, json,
+                                   TraceLevel::kOff, &json,
                                    nullptr, rep, /*audit=*/false, &live);
     busy_live = rep == 1 ? b : std::min(busy_live, b);
   }
@@ -341,19 +336,15 @@ int main() {
   // --- sampling profiler gate: 1 kHz sampling on top of the live feed.
   // The rank-side cost is one relaxed store per span begin/end (the packed
   // leaf word); the monitor's try-lock sampling runs off the hot path.
-  // Budget 3% of busy time. The captured run also gates *attribution*: the
-  // sample histogram, scaled by the measured effective interval, must land
-  // within 10% (+50 ms) of the exact flat-timeline totals for rank 0's
-  // top-3 regions.
+  // Budget 3% of busy time.
   telemetry::ObservabilityOptions prof = live;
   prof.profile = true;
   prof.profile_interval_seconds = 1e-3;
   double busy_prof = 0.0;
-  ParallelRunResult profres;
   for (int rep = 1; rep <= 3; ++rep) {
     const double b = run_placement(4, 1, days, /*overlap=*/true,
-                                   TraceLevel::kOff, json,
-                                   &profres, rep, /*audit=*/false, &prof);
+                                   TraceLevel::kOff, &json,
+                                   nullptr, rep, /*audit=*/false, &prof);
     busy_prof = rep == 1 ? b : std::min(busy_prof, b);
   }
   const double prof_overhead =
@@ -367,6 +358,17 @@ int main() {
                "sampling profiler overhead above budget: "
                    << busy_prof << "s vs " << busy_off << "s off");
 
+  // --- profiler attribution gate: the sample histogram, scaled by the
+  // measured effective interval, must land within 10% (+50 ms) of the
+  // tracer's region totals for rank 0's top-3 regions of at least 0.2 s.
+  // Its own profiled run, at least half a day long: at the quick run's
+  // 0.25 day rank 0's atmosphere time sits at the 0.2 s floor on a fast
+  // host. Kept apart from the overhead reps (and out of the bench JSON),
+  // so the overhead A/B still compares equal run lengths.
+  ParallelRunResult profres;
+  run_placement(4, 1, std::max(days, 0.5), /*overlap=*/true,
+                TraceLevel::kOff, nullptr, &profres, 0, /*audit=*/false,
+                &prof);
   FOAM_REQUIRE(profres.profile_interval_seconds > 0.0 &&
                    !profres.profile.empty(),
                "profiled run returned no samples");
@@ -379,7 +381,8 @@ int main() {
   std::sort(exact.rbegin(), exact.rend());
   if (exact.size() > 3) exact.resize(3);
   FOAM_REQUIRE(!exact.empty(), "no rank-0 region reached 0.2 s");
-  std::printf("profiler attribution vs exact timelines (rank 0, interval "
+  std::printf("profiler attribution vs tracer region totals (rank 0, "
+              "interval "
               "%.3g ms):\n",
               profres.profile_interval_seconds * 1e3);
   for (const auto& [t, region] : exact) {
@@ -398,12 +401,12 @@ int main() {
   // --- paper-scale audited day: the 8+1 placement under audit mode, with
   // the zero-findings assertion inside run_placement as the acceptance
   // check that a full coupled day is deadlock-free and leak-free.
-  run_placement(8, 1, days, /*overlap=*/true, TraceLevel::kOff, json,
+  run_placement(8, 1, days, /*overlap=*/true, TraceLevel::kOff, &json,
                 nullptr, 0, /*audit=*/true);
 
   // --- full-trace run: export + self-validate the Chrome trace.
   ParallelRunResult full;
-  run_placement(4, 1, days, /*overlap=*/true, TraceLevel::kFull, json, &full);
+  run_placement(4, 1, days, /*overlap=*/true, TraceLevel::kFull, &json, &full);
   export_and_check_trace(full, /*n_atm=*/4, json);
   return 0;
 }

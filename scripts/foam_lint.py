@@ -21,6 +21,12 @@ Rules
    construct there would void the wait-free push/pop contract the model
    checker verifies and the watchdog's stall attribution assumes.
 
+3. day-length: no bare ``86400`` in src/ code outside
+   ``src/base/constants.hpp``. The day length is
+   ``constants::seconds_per_day`` (double) or ``constants::seconds_per_day_i``
+   (int64 calendar arithmetic); a second spelling of it is how a calendar
+   and a time step drift apart. Comments are not scanned.
+
 Exit status: 0 clean, 1 findings (one ``file:line: message`` per line).
 """
 
@@ -41,9 +47,12 @@ BLOCKING = re.compile(
     r"|\bsleep_for\b|\bsleep_until\b|\busleep\b|\bnanosleep\b|\bsleep\s*\("
 )
 
+DAY_LITERAL = re.compile(r"\b86400\b")
+
 MO_SCAN_ROOTS = ["src"]
 MO_EXEMPT_PREFIXES = ["src/mc/"]
 HOT_PATHS = ["src/par/spsc.hpp"]
+DAY_LENGTH_HOME = "src/base/constants.hpp"
 
 
 def strip_line_comment(line: str) -> str:
@@ -79,6 +88,16 @@ def lint_hot_path(path: Path, rel: str, findings: list[str]) -> None:
             )
 
 
+def lint_day_literal(path: Path, rel: str, findings: list[str]) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines):
+        if DAY_LITERAL.search(strip_line_comment(line)):
+            findings.append(
+                f"{rel}:{i + 1}: bare 86400; use constants::seconds_per_day "
+                f"or seconds_per_day_i ({DAY_LENGTH_HOME})"
+            )
+
+
 def main() -> int:
     findings: list[str] = []
 
@@ -87,6 +106,8 @@ def main() -> int:
             if path.suffix not in (".hpp", ".cpp", ".h", ".cc"):
                 continue
             rel = path.relative_to(REPO).as_posix()
+            if rel != DAY_LENGTH_HOME:
+                lint_day_literal(path, rel, findings)
             if any(rel.startswith(p) for p in MO_EXEMPT_PREFIXES):
                 continue
             lint_mo_justification(path, rel, findings)

@@ -9,13 +9,15 @@ ModelTime ModelTime::from_ymd(int year, int month, int day,
   FOAM_REQUIRE(year >= 0, "year=" << year);
   FOAM_REQUIRE(month >= 0 && month < 12, "month=" << month);
   FOAM_REQUIRE(day >= 0 && day < kMonthDays[month], "day=" << day);
-  FOAM_REQUIRE(second_of_day >= 0.0 && second_of_day < 86400.0,
-               "second_of_day=" << second_of_day);
+  FOAM_REQUIRE(
+      second_of_day >= 0.0 && second_of_day < constants::seconds_per_day,
+      "second_of_day=" << second_of_day);
   std::int64_t doy = 0;
   for (int m = 0; m < month; ++m) doy += kMonthDays[m];
   doy += day;
   return ModelTime(static_cast<std::int64_t>(year) * kSecondsPerYear +
-                   doy * 86400 + static_cast<std::int64_t>(second_of_day));
+                   doy * constants::seconds_per_day_i +
+                   static_cast<std::int64_t>(second_of_day));
 }
 
 int ModelTime::month() const {

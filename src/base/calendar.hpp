@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <string>
 
+#include "base/constants.hpp"
 #include "base/error.hpp"
 
 namespace foam {
@@ -30,23 +31,29 @@ class ModelTime {
                             double second_of_day = 0.0);
 
   std::int64_t seconds() const { return seconds_; }
-  double days() const { return static_cast<double>(seconds_) / 86400.0; }
+  double days() const {
+    return static_cast<double>(seconds_) / constants::seconds_per_day;
+  }
   double years() const { return days() / 365.0; }
 
   int year() const { return static_cast<int>(seconds_ / kSecondsPerYear); }
   /// Day within the year, in [0, 365).
   int day_of_year() const {
-    return static_cast<int>((seconds_ % kSecondsPerYear) / 86400);
+    return static_cast<int>((seconds_ % kSecondsPerYear) /
+                            constants::seconds_per_day_i);
   }
   /// Month within the year, in [0, 12).
   int month() const;
   /// Day within the month, in [0, kMonthDays[month()]).
   int day_of_month() const;
-  /// Seconds elapsed within the current day, in [0, 86400).
-  int second_of_day() const { return static_cast<int>(seconds_ % 86400); }
+  /// Seconds elapsed within the current day, in [0, seconds_per_day).
+  int second_of_day() const {
+    return static_cast<int>(seconds_ % constants::seconds_per_day_i);
+  }
   /// Fractional day of year in [0, 365); used for solar declination.
   double fractional_day_of_year() const {
-    return static_cast<double>(seconds_ % kSecondsPerYear) / 86400.0;
+    return static_cast<double>(seconds_ % kSecondsPerYear) /
+           constants::seconds_per_day;
   }
 
   ModelTime& advance(std::int64_t dt_seconds) {
@@ -69,7 +76,7 @@ class ModelTime {
   std::string to_string() const;
 
   static constexpr std::int64_t kSecondsPerYear =
-      static_cast<std::int64_t>(365) * 86400;
+      static_cast<std::int64_t>(365) * constants::seconds_per_day_i;
 
  private:
   std::int64_t seconds_ = 0;

@@ -7,6 +7,8 @@
 /// them; purely numerical tuning constants live with the component that owns
 /// them.
 
+#include <cstdint>
+
 namespace foam::constants {
 
 inline constexpr double pi = 3.14159265358979323846;
@@ -74,6 +76,8 @@ inline constexpr double ice_formation_flux_m = 2.0;
 
 /// Seconds per (model) day; FOAM uses a 365-day no-leap calendar.
 inline constexpr double seconds_per_day = 86400.0;
+/// The same day length for the calendar's whole-second int64 arithmetic.
+inline constexpr std::int64_t seconds_per_day_i = 86400;
 inline constexpr int days_per_year = 365;
 
 }  // namespace foam::constants

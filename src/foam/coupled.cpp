@@ -217,8 +217,8 @@ atm::SurfaceFields read_surface(const HistoryReader& in, int nlon,
   return sfc;
 }
 
-/// Allgather variable-length per-rank double streams (timelines, traces,
-/// metric samples): every rank ends up with every rank's stream.
+/// Allgather variable-length per-rank double streams (traces, metric
+/// samples): every rank ends up with every rank's stream.
 std::vector<std::vector<double>> allgather_streams(
     par::Comm& world, const std::vector<double>& mine) {
   const double n_mine = static_cast<double>(mine.size());
@@ -262,12 +262,11 @@ ParallelRunResult run_coupled_parallel(par::Comm& world,
                                ocean::OceanConfig::kStandardLatMax);
   const Field2Dd bathy = data::bathymetry(ogrid);
 
-  // Per-rank telemetry session: region spans drive the flat Fig. 2 view
-  // (timelines); FOAM_TRACE_SCOPE spans throughout the component stack are
-  // recorded at TraceLevel::kFull; comm counters accumulate whenever the
-  // session is installed.
-  telemetry::TelemetryOptions topts = opts.telemetry;
-  topts.record_flat = opts.capture_timelines;
+  // Per-rank telemetry session: region spans carry the Fig. 2 split (their
+  // totals at every level, the spans from kRegions up); FOAM_TRACE_SCOPE
+  // spans throughout the component stack are recorded at TraceLevel::kFull;
+  // comm counters accumulate whenever the session is installed.
+  const telemetry::TelemetryOptions& topts = opts.telemetry;
   telemetry::Telemetry tel(topts);
   telemetry::ScopedSession session(tel);
   telemetry::Tracer& rec = tel.tracer();
@@ -585,7 +584,7 @@ ParallelRunResult run_coupled_parallel(par::Comm& world,
       day_resilience(ex, write_shard);
     }
     // Drain the reply still in flight after the last interval so the
-    // ocean's sends are all consumed before the timeline gather.
+    // ocean's sends are all consumed before the telemetry gather.
     if (world.rank() == 0) wait_reply();
     tel.metrics().gauge("driver.atm_cpu_seconds").set(atm_cpu);
   } else {
@@ -689,17 +688,28 @@ ParallelRunResult run_coupled_parallel(par::Comm& world,
           : -1;
   result.final_sst = std::move(final_sst);
 
-  // Gather the per-rank telemetry to every rank: flat timelines (Fig. 2),
-  // hierarchical traces (kFull), and metric samples. Each stream is
-  // validated on decode — the bytes crossed rank boundaries.
+  // Gather the per-rank telemetry to every rank: region totals and region
+  // spans (Fig. 2), hierarchical traces (kFull), and metric samples. What
+  // crossed rank boundaries is validated on decode.
   if (opts.capture_timelines) {
-    const auto streams = allgather_streams(world, rec.flat().serialize());
-    result.timelines.resize(world.size());
+    std::vector<double> all(static_cast<std::size_t>(world.size()) *
+                            par::kRegionCount);
+    world.allgather(rec.region_totals().data(), par::kRegionCount,
+                    all.data());
+    result.region_totals.resize(world.size());
     for (int r = 0; r < world.size(); ++r)
-      result.timelines[r] = par::ActivityRecorder::deserialize(
-          streams[r].data(), streams[r].size());
+      for (int g = 0; g < par::kRegionCount; ++g) {
+        const double v = all[static_cast<std::size_t>(r) * par::kRegionCount +
+                             static_cast<std::size_t>(g)];
+        FOAM_REQUIRE(std::isfinite(v) && v >= 0.0,
+                     "rank " << r << " sent region total " << v << " for "
+                             << par::region_name(static_cast<par::Region>(g)));
+        result.region_totals[r][static_cast<std::size_t>(g)] = v;
+      }
   }
-  if (topts.level == telemetry::TraceLevel::kFull) {
+  if (topts.level == telemetry::TraceLevel::kFull ||
+      (opts.capture_timelines &&
+       topts.level == telemetry::TraceLevel::kRegions)) {
     const auto streams =
         allgather_streams(world, telemetry::serialize_trace(rec.trace()));
     result.traces.resize(world.size());

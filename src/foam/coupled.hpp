@@ -14,8 +14,8 @@
 ///    Fig. 4, CCM2-vs-CCM3) and the examples;
 ///  * run_coupled_parallel — SPMD over a foam::par world, with the ocean on
 ///    its own rank(s) and the coupler co-resident with the atmosphere
-///    ranks, instrumented with per-rank activity timelines (Fig. 2 and the
-///    scaling "table"). The flux exchange runs either blocking (the
+///    ranks, instrumented with per-rank region totals and traces (Fig. 2
+///    and the scaling "table"). The flux exchange runs either blocking (the
 ///    atmosphere waits out the ocean call) or with comm/compute overlap
 ///    (ParallelRunOptions::overlap): the forcing send and the SST-reply
 ///    receive are posted nonblocking and the atmosphere steps the next
@@ -24,6 +24,7 @@
 ///    6-hour SST lag for the ocean call disappearing from the critical
 ///    path.
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -119,34 +120,28 @@ struct ParallelRunResult {
   double speedup() const {
     return wall_seconds > 0.0 ? simulated_seconds / wall_seconds : 0.0;
   }
-  /// Per-world-rank activity timelines (atmosphere/coupler/ocean/idle/
-  /// comm-wait); empty when ParallelRunOptions::capture_timelines is off.
-  std::vector<std::vector<par::Segment>> timelines;
+  /// Per-world-rank seconds in each par::Region (atmosphere/coupler/
+  /// ocean/idle/comm-wait): the tracers' region totals, gathered when
+  /// ParallelRunOptions::capture_timelines is on (empty otherwise).
+  std::vector<std::array<double, par::kRegionCount>> region_totals;
 
-  /// Seconds world rank \p rank spent in region \p r (0 without timelines).
+  /// Seconds world rank \p rank spent in region \p r (0 without totals).
   double region_seconds(int rank, par::Region r) const {
-    if (rank < 0 || rank >= static_cast<int>(timelines.size())) return 0.0;
-    double sum = 0.0;
-    for (const par::Segment& seg : timelines[rank])
-      if (seg.region == r) sum += seg.t1 - seg.t0;
-    return sum;
+    if (rank < 0 || rank >= static_cast<int>(region_totals.size()))
+      return 0.0;
+    return region_totals[rank][static_cast<std::size_t>(r)];
   }
 
-  /// Per-world-rank hierarchical traces (name table + nested spans); filled
-  /// only when ParallelRunOptions::telemetry.level == TraceLevel::kFull.
-  /// Feed to telemetry::write_chrome_trace for a Perfetto timeline.
+  /// Per-world-rank traces (name table + spans), gathered at
+  /// TraceLevel::kFull, and at kRegions when capture_timelines is on. The
+  /// depth-0 region spans of traces[r] are rank r's Fig. 2 timeline; at
+  /// kFull the named spans nest inside them. Feed to
+  /// telemetry::write_chrome_trace for a Perfetto timeline.
   std::vector<telemetry::RankTrace> traces;
 
   /// Per-world-rank flattened metric samples (comm counters, spectral batch
   /// stats, coupler counters, ...); empty at TraceLevel::kOff.
   std::vector<std::vector<std::pair<std::string, double>>> metrics;
-
-  /// Seconds rank \p rank spent in depth-0 spans of region \p r according
-  /// to the hierarchical trace — the cross-check against region_seconds.
-  double span_region_seconds(int rank, par::Region r) const {
-    if (rank < 0 || rank >= static_cast<int>(traces.size())) return 0.0;
-    return traces[rank].region_total(r);
-  }
 
   /// Total MPI-semantics findings across all ranks for the run, or -1 when
   /// verification was off (ParallelRunOptions::verify). 0 proves the run
@@ -243,11 +238,12 @@ struct ParallelRunOptions {
   /// one exchange interval late. Off = blocking exchange, the reply is
   /// waited for inside the exchange (the paper's Fig. 2 idle band).
   bool overlap = false;
-  /// Gather per-rank activity timelines into ParallelRunResult::timelines.
+  /// Gather per-rank region totals into ParallelRunResult::region_totals,
+  /// and at TraceLevel::kRegions the region spans into traces (the Fig. 2
+  /// timelines).
   bool capture_timelines = true;
   /// Telemetry session installed on every rank for the run: trace level
   /// (off / regions-only / full hierarchical spans) and span ring capacity.
-  /// The flat-view setting is overridden by capture_timelines.
   telemetry::TelemetryOptions telemetry;
   /// MPI-semantics checking for the run (par/verify/verify.hpp): off by
   /// default unless FOAM_PAR_VERIFY is set. The driver installs it via
@@ -272,7 +268,7 @@ struct ParallelRunOptions {
 
 /// Run the coupled model SPMD on \p world. Must be called by every rank of
 /// the communicator with identical \p opts. The result (with gathered
-/// timelines, if enabled) is returned on every rank.
+/// region totals and traces, if enabled) is returned on every rank.
 ParallelRunResult run_coupled_parallel(par::Comm& world,
                                        const ParallelRunOptions& opts,
                                        const FoamConfig& cfg, double days);

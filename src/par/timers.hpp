@@ -1,28 +1,19 @@
 #pragma once
 
 /// \file timers.hpp
-/// Per-rank activity instrumentation (the flat Fig. 2 view).
+/// Clocks and the Fig. 2 activity classes.
 ///
 /// Figure 2 of the paper shows, for every SP processor, how one simulated
 /// day divides into atmosphere (green), coupler (red), ocean (blue) and idle
-/// (purple) time. ActivityRecorder captures exactly that: each rank records
-/// a sequence of (region, start, end) segments against a common wall clock;
-/// the Fig. 2 bench gathers them and renders/aggregates the timeline.
-///
-/// This is the *flat* layer: one region active at a time, no nesting. The
-/// hierarchical tracer in telemetry/telemetry.hpp generalizes it to named,
-/// nesting-aware spans and embeds an ActivityRecorder as its lossless
-/// downgrade, which is why everything here is header-only (the telemetry
-/// library builds on it without a link cycle through foam_par).
+/// (purple) time. Region names those classes; the tracer in
+/// telemetry/telemetry.hpp records them as region spans and keeps the
+/// per-region totals, which is where the Fig. 2 timelines and shares come
+/// from. Header-only, so the telemetry library uses it without a link
+/// cycle through foam_par.
 
 #include <ctime>
 
 #include <chrono>
-#include <cmath>
-#include <string>
-#include <vector>
-
-#include "base/error.hpp"
 
 namespace foam::par {
 
@@ -72,130 +63,6 @@ inline const char* region_name(Region r) {
   }
   return "?";
 }
-
-struct Segment {
-  Region region;
-  double t0;  ///< seconds since recorder epoch
-  double t1;
-};
-
-/// Records activity segments for one rank. Not thread-safe: one recorder per
-/// rank, used only from that rank's thread.
-class ActivityRecorder {
- public:
-  ActivityRecorder() { reset(); }
-
-  /// Reset the epoch; subsequent segments are relative to now.
-  void reset() {
-    epoch_ = std::chrono::steady_clock::now();
-    open_ = false;
-    segments_.clear();
-  }
-
-  /// Begin a region; regions do not nest (ending implicitly when the next
-  /// begins or end_region is called).
-  void begin(Region r) {
-    const double t = now();
-    if (open_) segments_.push_back({open_region_, open_t0_, t});
-    open_ = true;
-    open_region_ = r;
-    open_t0_ = t;
-  }
-
-  void end() {
-    if (!open_) return;
-    segments_.push_back({open_region_, open_t0_, now()});
-    open_ = false;
-  }
-
-  /// Seconds since the epoch.
-  double now() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         epoch_)
-        .count();
-  }
-
-  const std::vector<Segment>& segments() const { return segments_; }
-
-  /// Total time attributed to \p r.
-  double total(Region r) const {
-    double sum = 0.0;
-    for (const Segment& s : segments_)
-      if (s.region == r) sum += s.t1 - s.t0;
-    return sum;
-  }
-
-  /// Sum over all recorded segments.
-  double total_recorded() const {
-    double sum = 0.0;
-    for (const Segment& s : segments_) sum += s.t1 - s.t0;
-    return sum;
-  }
-
-  /// Serialize to a flat double vector (triples of region,t0,t1) for
-  /// gathering across ranks with Comm::gatherv.
-  std::vector<double> serialize() const {
-    std::vector<double> out;
-    out.reserve(segments_.size() * 3);
-    for (const Segment& s : segments_) {
-      out.push_back(static_cast<double>(static_cast<int>(s.region)));
-      out.push_back(s.t0);
-      out.push_back(s.t1);
-    }
-    return out;
-  }
-
-  /// Decode a gathered segment stream. The bytes crossed rank boundaries,
-  /// so nothing is trusted: throws foam::Error on a length that is not a
-  /// whole number of triples, a region value that is not one of the Region
-  /// enumerators, or non-finite / reversed segment times.
-  static std::vector<Segment> deserialize(const double* data,
-                                          std::size_t count) {
-    FOAM_REQUIRE(count % 3 == 0, "segment stream length "
-                                     << count
-                                     << " is not a multiple of 3");
-    std::vector<Segment> out;
-    out.reserve(count / 3);
-    for (std::size_t i = 0; i < count; i += 3) {
-      const double rv = data[i];
-      const int ri = static_cast<int>(rv);
-      FOAM_REQUIRE(std::isfinite(rv) && rv == static_cast<double>(ri) &&
-                       ri >= 0 && ri < kRegionCount,
-                   "segment stream: invalid region value "
-                       << rv << " in triple " << i / 3);
-      Segment s;
-      s.region = static_cast<Region>(ri);
-      s.t0 = data[i + 1];
-      s.t1 = data[i + 2];
-      FOAM_REQUIRE(std::isfinite(s.t0) && std::isfinite(s.t1) &&
-                       s.t1 >= s.t0,
-                   "segment stream: invalid times [" << s.t0 << ", " << s.t1
-                                                     << ") in triple "
-                                                     << i / 3);
-      out.push_back(s);
-    }
-    return out;
-  }
-
- private:
-  std::chrono::steady_clock::time_point epoch_;
-  bool open_ = false;
-  Region open_region_ = Region::kOther;
-  double open_t0_ = 0.0;
-  std::vector<Segment> segments_;
-};
-
-/// RAII helper: begins \p r on construction, ends on destruction.
-class ScopedRegion {
- public:
-  ScopedRegion(ActivityRecorder& rec, Region r) : rec_(rec) { rec_.begin(r); }
-  ~ScopedRegion() { rec_.end(); }
-  ScopedRegion(const ScopedRegion&) = delete;
-  ScopedRegion& operator=(const ScopedRegion&) = delete;
-
- private:
-  ActivityRecorder& rec_;
-};
 
 /// Simple wall-clock stopwatch for throughput measurement.
 class Stopwatch {

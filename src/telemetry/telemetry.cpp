@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 
 namespace foam::telemetry {
 
@@ -28,9 +29,14 @@ const char* trace_level_name(TraceLevel level) {
 // ---------------------------------------------------------------------------
 
 double RankTrace::region_total(par::Region r) const {
+  // A region span is interned under its class's name; that tells it from
+  // a named span opened outside every region (also depth 0, class kOther).
+  const std::string_view name = par::region_name(r);
   double sum = 0.0;
   for (const SpanRec& s : spans)
-    if (s.depth == 0 && s.region == r) sum += s.t1 - s.t0;
+    if (s.depth == 0 && s.region == r &&
+        names[static_cast<std::size_t>(s.name_id)] == name)
+      sum += s.t1 - s.t0;
   return sum;
 }
 
@@ -162,9 +168,7 @@ std::vector<std::pair<std::string, double>> deserialize_samples(
 // ---------------------------------------------------------------------------
 
 Tracer::Tracer(const TelemetryOptions& opts)
-    : level_(opts.level),
-      cap_(std::max<std::size_t>(opts.max_spans, 16)),
-      record_flat_(opts.record_flat) {
+    : level_(opts.level), cap_(std::max<std::size_t>(opts.max_spans, 16)) {
   reset();
 }
 
@@ -174,7 +178,7 @@ void Tracer::reset() {
   ring_.clear();
   head_ = 0;
   dropped_ = 0;
-  flat_.reset();
+  region_s_.fill(0.0);
   update_leaf();
 }
 
@@ -221,7 +225,6 @@ par::Region Tracer::current_region() const {
 
 void Tracer::begin_region(par::Region r) {
   stack_.push_back({intern(par::region_name(r)), r, true, now()});
-  if (record_flat_) flat_.begin(r);
   update_leaf();
 }
 
@@ -254,18 +257,8 @@ void Tracer::finish_top(bool expect_region) {
   if (record)
     push_completed({e.name_id, e.region,
                     static_cast<std::int32_t>(stack_.size()), e.t0, t});
-  if (e.is_region && record_flat_) {
-    // Lossless downgrade: the flat view resumes the enclosing region (the
-    // recorder's begin() closes the current segment), or closes out.
-    bool resumed = false;
-    for (auto it = stack_.rbegin(); it != stack_.rend(); ++it) {
-      if (!it->is_region) continue;
-      flat_.begin(it->region);
-      resumed = true;
-      break;
-    }
-    if (!resumed) flat_.end();
-  }
+  if (e.is_region && stack_.empty())
+    region_s_[static_cast<std::size_t>(e.region)] += t - e.t0;
   update_leaf();
 }
 
@@ -334,17 +327,6 @@ ScopedSession::ScopedSession(Telemetry& t) : prev_(t_current) {
 }
 
 ScopedSession::~ScopedSession() { t_current = prev_; }
-
-ScopedRegion::ScopedRegion(par::Region r) {
-  if (Telemetry* t = t_current) {
-    tracer_ = &t->tracer();
-    tracer_->begin_region(r);
-  }
-}
-
-ScopedRegion::~ScopedRegion() {
-  if (tracer_) tracer_->end_region();
-}
 
 ScopedSpan::ScopedSpan(const char* name) {
   Telemetry* t = t_current;

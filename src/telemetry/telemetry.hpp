@@ -3,22 +3,23 @@
 /// \file telemetry.hpp
 /// Unified per-rank telemetry: hierarchical tracing + metrics session.
 ///
-/// The flat par::ActivityRecorder reproduces the paper's Fig. 2 — one
-/// region (atmosphere/coupler/ocean/idle/comm-wait) active at a time. After
-/// the comm-overlap and batched-spectral work, the interesting costs live
-/// *inside* those regions: per-stage transform time, per-message wait time,
-/// mailbox pressure. The Tracer generalizes the recorder to named,
-/// nesting-aware spans while keeping a lossless downgrade to the flat
-/// Fig. 2 view, so ParallelRunResult::timelines and the Fig. 2 bench keep
-/// working unchanged.
+/// The paper's Fig. 2 splits each rank's day into regions (atmosphere/
+/// coupler/ocean/idle/comm-wait). After the comm-overlap and batched-
+/// spectral work, the interesting costs also live *inside* those regions:
+/// per-stage transform time, per-message wait time, mailbox pressure. The
+/// Tracer is the one record of both: region spans for the Fig. 2 split,
+/// named spans nested inside them for the finer costs.
 ///
 /// Model of operation:
 ///  * a Telemetry session (tracer + metrics registry + comm stats) is
 ///    installed per rank thread via ScopedSession; components reach it
 ///    through telemetry::current() and no-op when none is installed;
-///  * region spans (begin_region/end_region) carry a par::Region class and
-///    are recorded at TraceLevel::kRegions and above — they also drive the
-///    embedded flat ActivityRecorder, which *is* the legacy downgrade;
+///  * region spans (begin_region/end_region) carry a par::Region class.
+///    Each top-level region span adds its duration to the tracer's
+///    per-region totals (region_totals()) when it ends, at every trace
+///    level, so the Fig. 2 shares exist even at TraceLevel::kOff and no
+///    ring overflow can lose them; the spans themselves are recorded at
+///    TraceLevel::kRegions and above, and those are the Fig. 2 timelines;
 ///  * named spans (FOAM_TRACE_SCOPE("legendre_fold")) nest inside region
 ///    spans, inherit the innermost region class, and are recorded only at
 ///    TraceLevel::kFull;
@@ -38,6 +39,7 @@
 /// progress even when the production kRegions level records nothing
 /// finer than one long region span).
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -53,7 +55,7 @@
 namespace foam::telemetry {
 
 /// How much the tracer records. kRegions is the production default: the
-/// flat Fig. 2 regions as spans, nothing finer (< 2% overhead on the
+/// Fig. 2 regions as spans, nothing finer (< 2% overhead on the
 /// coupled bench, gated by bench_time_allocation). kFull additionally
 /// records every FOAM_TRACE_SCOPE span.
 enum class TraceLevel : int { kOff = 0, kRegions = 1, kFull = 2 };
@@ -65,8 +67,9 @@ struct TelemetryOptions {
   TraceLevel level = TraceLevel::kRegions;
   /// Ring capacity: completed spans kept per rank (oldest dropped first).
   std::size_t max_spans = 1 << 16;
-  /// Maintain the legacy flat region view (ParallelRunResult::timelines).
-  /// Drivers force this on when timeline capture is requested.
+  /// Read by nothing: the region totals and spans are always kept. The
+  /// field stays only because the benchmark (foambench/) assigns it; the
+  /// next change to the benchmark deletes it with those two assignments.
   bool record_flat = true;
 };
 
@@ -88,8 +91,8 @@ struct RankTrace {
   std::vector<SpanRec> spans;
   std::uint64_t dropped = 0;
 
-  /// Total time in depth-0 spans of region class \p r — the span-derived
-  /// counterpart of ActivityRecorder::total for cross-checking.
+  /// Total time in depth-0 region spans of class \p r: the counting rule
+  /// of Tracer::region_totals, over the spans the ring kept.
   double region_total(par::Region r) const;
   /// True if any recorded span is nested (depth > 0).
   bool has_nested() const;
@@ -115,9 +118,9 @@ inline par::Region leaf_region(std::uint64_t leaf) {
   return static_cast<par::Region>((leaf >> 1) & 0x7FU);
 }
 
-/// Flat double-stream encoding of a RankTrace for Comm::gatherv, mirroring
-/// ActivityRecorder::serialize. deserialize validates the stream and
-/// throws foam::Error on malformed input.
+/// Flat double-stream encoding of a RankTrace for Comm::gatherv.
+/// deserialize validates the stream and throws foam::Error on malformed
+/// input.
 std::vector<double> serialize_trace(const RankTrace& t);
 RankTrace deserialize_trace(const double* data, std::size_t count);
 
@@ -134,16 +137,16 @@ class Tracer {
   explicit Tracer(const TelemetryOptions& opts = {});
 
   TraceLevel level() const { return level_; }
-  bool record_flat() const { return record_flat_; }
 
   /// Reset the epoch and drop all recorded state.
   void reset();
   /// Seconds since the epoch.
   double now() const;
 
-  /// Begin/end a region span (see the file comment). Regions may nest;
-  /// the flat view shows the innermost one, and ending a nested region
-  /// resumes its parent in the flat view — lossless downgrade.
+  /// Begin/end a region span (see the file comment). Regions may nest,
+  /// but only a top-level one (no span open around it when it ends)
+  /// counts toward region_totals(). end_region() with nothing open is a
+  /// no-op.
   void begin_region(par::Region r);
   void end_region();
 
@@ -162,8 +165,12 @@ class Tracer {
   /// Open (unfinished) spans, region and named.
   int open_depth() const { return static_cast<int>(stack_.size()); }
 
-  /// The legacy flat view (drives ParallelRunResult::timelines).
-  const par::ActivityRecorder& flat() const { return flat_; }
+  /// Seconds spent in top-level region spans, per par::Region class,
+  /// since the last reset(). Each span adds the same t1 - t0 its record
+  /// holds, so with no drops this is bitwise RankTrace::region_total.
+  const std::array<double, par::kRegionCount>& region_totals() const {
+    return region_s_;
+  }
 
   /// Completed spans in chronological (completion) order.
   std::vector<SpanRec> spans() const;
@@ -203,7 +210,6 @@ class Tracer {
 
   TraceLevel level_;
   std::size_t cap_;
-  bool record_flat_;
   std::chrono::steady_clock::time_point epoch_;
   std::vector<Open> stack_;
   std::vector<SpanRec> ring_;
@@ -211,7 +217,7 @@ class Tracer {
   std::uint64_t dropped_ = 0;
   std::vector<std::string> names_;
   std::map<std::string, std::int32_t, std::less<>> name_ids_;
-  par::ActivityRecorder flat_;
+  std::array<double, par::kRegionCount> region_s_{};
   ProfileLeaf leaf_;
 };
 
@@ -250,18 +256,6 @@ class ScopedSession {
 
  private:
   Telemetry* prev_;
-};
-
-/// RAII region span against the current session (no-op without one).
-class ScopedRegion {
- public:
-  explicit ScopedRegion(par::Region r);
-  ~ScopedRegion();
-  ScopedRegion(const ScopedRegion&) = delete;
-  ScopedRegion& operator=(const ScopedRegion&) = delete;
-
- private:
-  Tracer* tracer_ = nullptr;
 };
 
 /// RAII named span; records only when a session is installed at kFull

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <thread>
 
 namespace foam::par {
@@ -10,115 +9,6 @@ namespace {
 
 void spin_for_ms(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
-
-TEST(ActivityRecorder, RecordsSequentialRegions) {
-  ActivityRecorder rec;
-  rec.begin(Region::kAtmosphere);
-  spin_for_ms(5);
-  rec.begin(Region::kCoupler);  // implicitly closes atmosphere
-  spin_for_ms(5);
-  rec.end();
-  ASSERT_EQ(rec.segments().size(), 2u);
-  EXPECT_EQ(rec.segments()[0].region, Region::kAtmosphere);
-  EXPECT_EQ(rec.segments()[1].region, Region::kCoupler);
-  EXPECT_GT(rec.total(Region::kAtmosphere), 0.0);
-  EXPECT_GT(rec.total(Region::kCoupler), 0.0);
-  EXPECT_DOUBLE_EQ(rec.total(Region::kOcean), 0.0);
-}
-
-TEST(ActivityRecorder, SegmentsAreContiguousAndOrdered) {
-  ActivityRecorder rec;
-  rec.begin(Region::kAtmosphere);
-  rec.begin(Region::kIdle);
-  rec.begin(Region::kOcean);
-  rec.end();
-  const auto& segs = rec.segments();
-  ASSERT_EQ(segs.size(), 3u);
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    EXPECT_LE(segs[i].t0, segs[i].t1);
-    if (i > 0) {
-      EXPECT_DOUBLE_EQ(segs[i - 1].t1, segs[i].t0);
-    }
-  }
-}
-
-TEST(ActivityRecorder, EndWithoutBeginIsNoop) {
-  ActivityRecorder rec;
-  rec.end();
-  EXPECT_TRUE(rec.segments().empty());
-}
-
-TEST(ActivityRecorder, ResetClears) {
-  ActivityRecorder rec;
-  rec.begin(Region::kOcean);
-  rec.end();
-  rec.reset();
-  EXPECT_TRUE(rec.segments().empty());
-  EXPECT_DOUBLE_EQ(rec.total_recorded(), 0.0);
-}
-
-TEST(ActivityRecorder, SerializeRoundTrips) {
-  ActivityRecorder rec;
-  rec.begin(Region::kAtmosphere);
-  rec.begin(Region::kCoupler);
-  rec.begin(Region::kIdle);
-  rec.end();
-  const auto buf = rec.serialize();
-  ASSERT_EQ(buf.size(), 9u);
-  const auto segs = ActivityRecorder::deserialize(buf.data(), buf.size());
-  ASSERT_EQ(segs.size(), 3u);
-  EXPECT_EQ(segs[0].region, Region::kAtmosphere);
-  EXPECT_EQ(segs[1].region, Region::kCoupler);
-  EXPECT_EQ(segs[2].region, Region::kIdle);
-  EXPECT_DOUBLE_EQ(segs[1].t0, rec.segments()[1].t0);
-}
-
-TEST(ActivityRecorder, DeserializeRejectsBadLength) {
-  const double buf[] = {0.0, 0.0, 1.0, 2.0};  // 4 doubles: not a multiple of 3
-  EXPECT_THROW(ActivityRecorder::deserialize(buf, 4), foam::Error);
-}
-
-TEST(ActivityRecorder, DeserializeRejectsBadRegion) {
-  {
-    const double buf[] = {7.5, 0.0, 1.0};  // non-integral region code
-    EXPECT_THROW(ActivityRecorder::deserialize(buf, 3), foam::Error);
-  }
-  {
-    const double buf[] = {-1.0, 0.0, 1.0};
-    EXPECT_THROW(ActivityRecorder::deserialize(buf, 3), foam::Error);
-  }
-  {
-    const double buf[] = {99.0, 0.0, 1.0};  // out of [0, kRegionCount)
-    EXPECT_THROW(ActivityRecorder::deserialize(buf, 3), foam::Error);
-  }
-}
-
-TEST(ActivityRecorder, DeserializeRejectsBadTimes) {
-  {
-    const double buf[] = {0.0, 2.0, 1.0};  // t1 < t0
-    EXPECT_THROW(ActivityRecorder::deserialize(buf, 3), foam::Error);
-  }
-  {
-    const double nan = std::nan("");
-    const double buf[] = {0.0, nan, 1.0};
-    EXPECT_THROW(ActivityRecorder::deserialize(buf, 3), foam::Error);
-  }
-}
-
-TEST(ActivityRecorder, DeserializeAcceptsEmpty) {
-  EXPECT_TRUE(ActivityRecorder::deserialize(nullptr, 0).empty());
-}
-
-TEST(ScopedRegion, BeginsAndEnds) {
-  ActivityRecorder rec;
-  {
-    ScopedRegion s(rec, Region::kOcean);
-    spin_for_ms(2);
-  }
-  ASSERT_EQ(rec.segments().size(), 1u);
-  EXPECT_EQ(rec.segments()[0].region, Region::kOcean);
-  EXPECT_GT(rec.total(Region::kOcean), 0.0);
 }
 
 TEST(RegionName, CoversAll) {

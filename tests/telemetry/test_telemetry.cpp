@@ -24,7 +24,7 @@ TelemetryOptions full_opts() {
 }
 
 // ---------------------------------------------------------------------------
-// Tracer: nesting, region inheritance, flat downgrade
+// Tracer: nesting, region inheritance, region totals
 // ---------------------------------------------------------------------------
 
 TEST(Tracer, RecordsNestedSpansWithDepthsAndRegions) {
@@ -53,28 +53,83 @@ TEST(Tracer, RecordsNestedSpansWithDepthsAndRegions) {
   EXPECT_EQ(tr.open_depth(), 0);
 }
 
-TEST(Tracer, NestedRegionResumesParentInFlatView) {
+TEST(Tracer, NestedRegionCountsOnlyAtTopLevel) {
   Tracer tr(full_opts());
   tr.begin_region(par::Region::kAtmosphere);
   tr.begin_region(par::Region::kCoupler);
   tr.end_region();
   tr.end_region();
-  // Flat downgrade: atmosphere, coupler, atmosphere-resumed.
-  const auto& segs = tr.flat().segments();
-  ASSERT_EQ(segs.size(), 3u);
-  EXPECT_EQ(segs[0].region, par::Region::kAtmosphere);
-  EXPECT_EQ(segs[1].region, par::Region::kCoupler);
-  EXPECT_EQ(segs[2].region, par::Region::kAtmosphere);
-  // The nested coupler span covers the same interval as the flat coupler
-  // segment (same begin/end events, separate clock reads). region_total
-  // deliberately counts depth-0 spans only — the driver never nests
-  // region spans inside region spans — so sum over all depths here.
+  // Both spans are recorded, the nested one at depth 1.
   const RankTrace t = tr.trace();
-  double coupler_spans = 0.0;
-  for (const SpanRec& s : t.spans)
-    if (s.region == par::Region::kCoupler) coupler_spans += s.t1 - s.t0;
-  EXPECT_NEAR(coupler_spans, tr.flat().total(par::Region::kCoupler), 1e-3);
-  EXPECT_DOUBLE_EQ(t.region_total(par::Region::kCoupler), 0.0);
+  ASSERT_EQ(t.spans.size(), 2u);
+  EXPECT_EQ(t.spans[0].region, par::Region::kCoupler);
+  EXPECT_EQ(t.spans[0].depth, 1);
+  EXPECT_EQ(t.spans[1].region, par::Region::kAtmosphere);
+  EXPECT_EQ(t.spans[1].depth, 0);
+  // Only the top-level span counts: the atmosphere total is its whole
+  // interval, the nested coupler span adds nothing. RankTrace applies the
+  // same rule to the same clock reads, so the two agree bit for bit.
+  const auto& totals = tr.region_totals();
+  EXPECT_EQ(totals[static_cast<int>(par::Region::kAtmosphere)],
+            t.spans[1].t1 - t.spans[1].t0);
+  EXPECT_EQ(totals[static_cast<int>(par::Region::kCoupler)], 0.0);
+  for (int g = 0; g < par::kRegionCount; ++g)
+    EXPECT_EQ(totals[g], t.region_total(static_cast<par::Region>(g)))
+        << par::region_name(static_cast<par::Region>(g));
+}
+
+TEST(Tracer, RegionTotalsOutliveRingDrops) {
+  TelemetryOptions o;
+  o.level = TraceLevel::kRegions;
+  o.max_spans = 16;
+  Tracer tr(o);
+  // 24 ocean spans the ring will drop, then 16 atmosphere spans it keeps.
+  for (int i = 0; i < 40; ++i) {
+    tr.begin_region(i < 24 ? par::Region::kOcean : par::Region::kAtmosphere);
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    tr.end_region();
+  }
+  const RankTrace t = tr.trace();
+  ASSERT_EQ(t.spans.size(), 16u);
+  EXPECT_EQ(t.dropped, 24u);
+  const auto& totals = tr.region_totals();
+  // The trace lost every ocean span; the totals still hold all 24.
+  EXPECT_EQ(t.region_total(par::Region::kOcean), 0.0);
+  EXPECT_GE(totals[static_cast<int>(par::Region::kOcean)], 24 * 50e-6);
+  // The 16 kept spans are the whole atmosphere total.
+  EXPECT_EQ(totals[static_cast<int>(par::Region::kAtmosphere)],
+            t.region_total(par::Region::kAtmosphere));
+  EXPECT_GE(totals[static_cast<int>(par::Region::kAtmosphere)], 16 * 50e-6);
+}
+
+TEST(Tracer, RegionTotalsFilledAtOff) {
+  TelemetryOptions o;
+  o.level = TraceLevel::kOff;
+  Tracer tr(o);
+  tr.begin_region(par::Region::kOcean);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  tr.end_region();
+  EXPECT_TRUE(tr.spans().empty());
+  EXPECT_GE(tr.region_totals()[static_cast<int>(par::Region::kOcean)], 1e-3);
+}
+
+TEST(Tracer, ResetClearsRegionTotals) {
+  Tracer tr(full_opts());
+  tr.begin_region(par::Region::kCoupler);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  tr.end_region();
+  ASSERT_GT(tr.region_totals()[static_cast<int>(par::Region::kCoupler)], 0.0);
+  tr.reset();
+  for (const double v : tr.region_totals()) EXPECT_EQ(v, 0.0);
+  EXPECT_TRUE(tr.spans().empty());
+}
+
+TEST(Tracer, EndRegionWithoutBeginIsNoop) {
+  Tracer tr(full_opts());
+  tr.end_region();
+  EXPECT_EQ(tr.open_depth(), 0);
+  EXPECT_TRUE(tr.spans().empty());
+  for (const double v : tr.region_totals()) EXPECT_EQ(v, 0.0);
 }
 
 TEST(Tracer, NamedSpansNotRecordedBelowFull) {
